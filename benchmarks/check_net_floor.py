@@ -16,7 +16,13 @@ then fails the build if the *latest* run regressed:
 * **push latency** (relative) — the 200-subscriber push->all-received
   wall time must stay <= ``LATENCY_HEADROOM`` x the best recorded, so
   the fan-out can't quietly grow as long as the shared work grows with
-  it.
+  it;
+* **pipelined vs batch** (within one run) — pipelined QPS must reach
+  ``PIPELINED_OVER_BATCH_FLOOR`` x the one-frame-batch QPS of the same
+  ``gateway_tcp`` entry: a pipelined burst of single PREDICT frames is
+  answered with one backend call, so its cost per pair may stay
+  within 2x of the same pairs sent as one frame. Both numbers come
+  from one run on one host, so host speed cancels out.
 
 Older trajectory entries predating the fan-out sweep are skipped when
 computing historical bests; a latest run *without* the sweep entries
@@ -44,6 +50,9 @@ QPS_TOLERANCE = 0.55
 #: multiple of the best-ever 200-subscriber push latency the latest
 #: run may take before the gate trips.
 LATENCY_HEADROOM = 2.5
+#: pipelined QPS over one-frame-batch QPS, same run (burst dispatch
+#: answers a pipelined window with one backend call)
+PIPELINED_OVER_BATCH_FLOOR = 0.5
 
 
 def fanout_entry(timings: dict) -> dict | None:
@@ -51,11 +60,11 @@ def fanout_entry(timings: dict) -> dict | None:
     return entry if isinstance(entry, dict) else None
 
 
-def pipelined_qps(timings: dict) -> float | None:
+def gateway_qps(timings: dict, key: str) -> float | None:
     entry = timings.get("gateway_tcp")
     if not isinstance(entry, dict):
         return None
-    qps = entry.get("pipelined_qps")
+    qps = entry.get(key)
     return float(qps) if isinstance(qps, (int, float)) else None
 
 
@@ -122,12 +131,14 @@ def main() -> int:
             "(first sweep entry; no recorded ceiling yet)"
         )
 
-    qps = pipelined_qps(latest)
+    qps = gateway_qps(latest, "pipelined_qps")
     if qps is None:
         failures.append("latest run recorded no gateway_tcp pipelined_qps")
     else:
         past_qps = [
-            v for t in history if (v := pipelined_qps(t)) is not None
+            v
+            for t in history
+            if (v := gateway_qps(t, "pipelined_qps")) is not None
         ]
         floor = QPS_FLOOR
         if past_qps:
@@ -141,6 +152,22 @@ def main() -> int:
             )
         else:
             print(f"ok: pipelined QPS {qps:,.0f} (floor {floor:,.0f})")
+
+    batch = gateway_qps(latest, "batch_qps")
+    if qps is None or batch is None or batch <= 0:
+        failures.append("latest run recorded no gateway_tcp batch_qps")
+    else:
+        ratio = qps / batch
+        if ratio < PIPELINED_OVER_BATCH_FLOOR:
+            failures.append(
+                f"pipelined QPS {qps:,.0f} is {ratio:.2f}x batch QPS "
+                f"{batch:,.0f}, below the {PIPELINED_OVER_BATCH_FLOOR}x floor"
+            )
+        else:
+            print(
+                f"ok: pipelined QPS {qps:,.0f} = {ratio:.2f}x batch QPS "
+                f"{batch:,.0f} (floor {PIPELINED_OVER_BATCH_FLOOR}x)"
+            )
 
     if failures:
         for failure in failures:

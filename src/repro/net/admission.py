@@ -1,7 +1,7 @@
 """Admission control for the network gateway: rate limits and shedding.
 
 The gateway's structural backpressure (bounded per-connection send
-queues, one-frame-at-a-time dispatch) protects *memory*, but nothing
+queues, one socket burst at a time) protects *memory*, but nothing
 protects *compute*: a single hammering client can keep the backend's
 executor saturated and starve every other connection, and an operator
 has no lever to cap a node's total load. This module is that lever —

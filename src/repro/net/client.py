@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import random
 import socket
+import ssl
 import time
 
 from repro.atlas.serialization import decode_atlas, decode_delta
@@ -273,34 +274,36 @@ class NetworkClient:
     # -- wire plumbing -----------------------------------------------------
 
     def _send_frame(self, ftype: int, request_id: int, payload: bytes) -> None:
+        self._send(P.encode_frame(ftype, request_id, payload))
+
+    def _send(self, data: bytes) -> None:
+        """One ``sendall`` of encoded frames."""
         if self._closed:
             raise NetworkError("client is closed")
-        frame = P.encode_frame(ftype, request_id, payload)
         # reset the timeout: a prior poll_updates may have left a
-        # near-zero one, and a timeout mid-sendall would desync the wire
+        # zero one, and a timeout mid-sendall would desync the wire
         self._sock.settimeout(self.timeout)
         try:
-            self._sock.sendall(frame)
+            self._sock.sendall(data)
         except (socket.timeout, TimeoutError) as exc:
             raise NetworkError(
                 f"send to {self.endpoint} timed out after {self.timeout}s"
             ) from exc
-        self.bytes_sent += len(frame)
+        self.bytes_sent += len(data)
 
     def _next_frame(self, deadline: float | None):
         """One frame off the wire (buffered frames first); ``None`` on
-        deadline expiry, raises on EOF."""
+        deadline expiry, raises on EOF. An expired deadline still reads
+        what the socket already holds, without blocking."""
         while not self._frames:
             if deadline is None:
                 self._sock.settimeout(self.timeout)
             else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                self._sock.settimeout(remaining)
+                # timeout 0 puts the socket in non-blocking mode
+                self._sock.settimeout(max(0.0, deadline - time.monotonic()))
             try:
                 chunk = self._sock.recv(_RECV_CHUNK)
-            except (socket.timeout, TimeoutError):
+            except (TimeoutError, BlockingIOError, ssl.SSLWantReadError):
                 if deadline is None:
                     raise NetworkError(
                         f"no reply from {self.endpoint} within {self.timeout}s"
@@ -571,9 +574,11 @@ class NetworkClient:
 
     def poll_updates(self, max_wait: float = 0.0) -> int:
         """Drain pending frames for up to ``max_wait`` seconds, applying
-        delta pushes; returns how many were applied. Only pushes are
-        legal here (no request is outstanding) — which also makes this
-        the safe point where a pending auto-resubscribe runs."""
+        delta pushes; returns how many were applied. The default
+        ``max_wait=0`` never blocks: it drains what already arrived.
+        Only pushes are legal here (no request is outstanding) — which
+        also makes this the safe point where a pending auto-resubscribe
+        runs."""
         self._maybe_resubscribe()
         deadline = time.monotonic() + max_wait
         applied = 0
@@ -738,8 +743,8 @@ class NetworkClient:
     def pipeline_predict(
         self, pairs, config: PredictorConfig | None = None
     ) -> list[PredictedPath | None]:
-        """Raw wire pipelining: ship one PREDICT frame per pair without
-        waiting, then drain the replies in order. Delegate mode only —
+        """Raw wire pipelining: ship one PREDICT frame per pair, all in
+        one send, then drain the replies in order. Delegate mode only —
         this is the transport-level throughput primitive the bench
         sweeps."""
         if self.runtime is not None:
@@ -748,19 +753,25 @@ class NetworkClient:
         ids = []
         ctxs = []
         sent_at = []
+        frames = []
         for src, dst in pairs:
             ctx = self._start_trace()
             request_id = self._take_id()
-            self._send_frame(
-                P.PREDICT,
-                request_id,
-                P.encode_predict_request(src, dst, config, trace=ctx),
+            frames.append(
+                P.encode_frame(
+                    P.PREDICT,
+                    request_id,
+                    P.encode_predict_request(src, dst, config, trace=ctx),
+                )
             )
             ids.append(request_id)
             ctxs.append(ctx)
             sent_at.append(
                 None if ctx is None else (Tracer.now_us(), time.perf_counter())
             )
+        # the whole window in one send: the gateway reads it as one
+        # burst and answers it with one backend call
+        self._send(b"".join(frames))
         # Drain every original id first, marking shed slots; re-sending
         # mid-drain would mint ids above the still-pending tail and the
         # monotonic stale-discard would throw those replies away.

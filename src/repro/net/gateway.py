@@ -11,18 +11,34 @@ in-process (``repro.runtime``) or over ``multiprocessing`` pipes
 * each connection speaks the length-prefixed binary frames of
   :mod:`repro.net.protocol`, **pipelined**: a client may send any
   number of requests before reading replies, and the gateway answers
-  in order with matching request ids;
+  in arrival order with matching request ids;
 * requests fan out to a backend — a sharded
   :class:`~repro.serve.service.PredictionService` or a single-process
   :class:`~repro.client.server.AtlasServer` — through a **single-thread
   executor bridge**: the asyncio loop never blocks on a prediction, and
   the backends (whose pipe protocol and predictor pool are not
   thread-safe) see exactly one caller thread;
-* **backpressure** is structural: a connection's frames are processed
-  in arrival order and the socket is only read between requests, so a
-  client that pipelines faster than the backend answers fills the
-  kernel's TCP window instead of gateway memory. Frame sizes are capped
-  by ``max_frame`` and a decoder violation closes the connection;
+* **burst dispatch**: the frames decoded from one socket read form a
+  burst. Its query frames (PREDICT, PREDICT_BATCH, QUERY_INFO) pass
+  admission and decode one at a time, in arrival order, and
+  consecutive admitted frames that share a backend call and
+  ``(config, client)`` form one *group*: their pairs go to the backend
+  as one ``predict_batch``/``query_batch`` on one bridge hop (so a
+  sharded service sends each shard at most one message per group), and
+  the answers split back per frame. A group ends at any non-query
+  frame, RETRY, ERROR or change of key, and at the end of the burst.
+  A frame carrying a sampled trace context is a group of its own (its
+  span tree stays exact), and so is every frame of a ``FLAG_STATS``
+  connection (each reply keeps its own STATS frame). A single frame is
+  simply a burst of one; there is no second path. Replies queue on the
+  connection's writer, which joins everything queued into one socket
+  write;
+* **backpressure** is structural: the socket is only read once a
+  burst's replies are queued, and not at all while the connection's
+  unsent replies exceed ``reply_buffer``, so a client that pipelines
+  faster than the backend answers fills the kernel's TCP window
+  instead of gateway memory. Frame sizes are capped by ``max_frame``
+  and a decoder violation closes the connection;
 * **admission control** (:mod:`repro.net.admission`): per-client
   token-bucket rate limits and node-wide queue-depth shedding refuse
   *query* frames with a typed ``RETRY`` (retry-after hint, same
@@ -81,13 +97,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.atlas.serialization import encode_atlas, encode_delta
 from repro.client.query import combine_batches
-from repro.errors import (
-    AtlasError,
-    CodecError,
-    NetworkError,
-    ProtocolError,
-    ReproError,
-)
+from repro.errors import AtlasError, CodecError, NetworkError, ProtocolError
 from repro.net import protocol as P
 from repro.net.admission import AdmissionControl
 from repro.obs.registry import MetricsRegistry
@@ -96,6 +106,45 @@ from repro.obs.trace import TraceCollector, Tracer
 __all__ = ["NetworkGateway"]
 
 _READ_CHUNK = 64 * 1024
+
+#: query frame type -> (backend method, reply type, reply encoder over
+#: the frame's slice of the group's answers)
+_QUERIES = {
+    P.PREDICT: (
+        "predict_batch",
+        P.PREDICT_OK,
+        lambda paths: P.encode_predict_reply(paths[0]),
+    ),
+    P.PREDICT_BATCH: ("predict_batch", P.PREDICT_BATCH_OK, P.encode_batch_reply),
+    P.QUERY_INFO: ("query_batch", P.QUERY_INFO_OK, P.encode_query_reply),
+}
+
+
+def _decode_query(ftype: int, payload: bytes, traced: bool):
+    """``(pairs, config, client, trace)`` of one query frame. FLAG_TRACE
+    connections use the traced readers (which accept — and strip — the
+    optional trailing trace context); classic connections keep the
+    strict classic decoders, so a trace field from a peer that never
+    negotiated it still gets a typed error."""
+    if ftype == P.PREDICT:
+        if traced:
+            src, dst, config, trace = P.decode_predict_request_traced(payload)
+        else:
+            (src, dst, config), trace = P.decode_predict_request(payload), None
+        return [(src, dst)], config, None, trace
+    # QUERY_INFO shares the batch-request packing
+    if traced:
+        return P.decode_batch_request_traced(payload)
+    return (*P.decode_batch_request(payload), None)
+
+
+def _error_reply(exc: Exception) -> tuple[int, str]:
+    """The typed ERROR ``(code, message)`` a failed request gets."""
+    if isinstance(exc, (ProtocolError, CodecError)):
+        return P.E_MALFORMED, str(exc)
+    if isinstance(exc, AtlasError):
+        return P.E_UNAVAILABLE, str(exc)
+    return P.E_BACKEND, repr(exc)
 
 
 # -- backend adapters ------------------------------------------------------
@@ -391,6 +440,27 @@ class _Conn:
         return True
 
 
+class _Group:
+    """Consecutive admitted query frames of one burst that share a
+    backend call and ``(config, client)`` — ``key`` is ``(method,
+    config, client)``. Their pairs concatenate into one backend call;
+    ``frames`` holds ``(ftype, request_id, pair count)`` per frame, in
+    arrival order, to split the answers back."""
+
+    __slots__ = ("key", "trace", "frames", "pairs")
+
+    def __init__(self, key: tuple, trace: tuple[int, int] | None) -> None:
+        self.key = key
+        #: the sampled trace context of a traced frame's group of one
+        self.trace = trace
+        self.frames: list[tuple[int, int, int]] = []
+        self.pairs: list[tuple[int, int]] = []
+
+    def add(self, ftype: int, request_id: int, pairs) -> None:
+        self.frames.append((ftype, request_id, len(pairs)))
+        self.pairs.extend(pairs)
+
+
 class NetworkGateway:
     """Serves the wire protocol on TCP and/or unix-domain sockets."""
 
@@ -449,6 +519,8 @@ class NetworkGateway:
         self._startup_error: BaseException | None = None
         self._servers: list = []
         self._conns: set[_Conn] = set()
+        #: one serving task per accepted connection (teardown cancels them)
+        self._conn_tasks: set[asyncio.Task] = set()
         #: deltas pushed through this gateway since the last
         #: compaction, in order ``(new_day, encoded payload)`` —
         #: replayed after an ATLAS reply so a bootstrap anchored on an
@@ -562,13 +634,13 @@ class NetworkGateway:
         if self._tcp_request is not None:
             host, port = self._tcp_request
             server = await asyncio.start_server(
-                self._serve_conn, host, port, ssl=self.ssl_context
+                self._accept, host, port, ssl=self.ssl_context
             )
             self.tcp_address = server.sockets[0].getsockname()[:2]
             self._servers.append(server)
         if self._uds_request is not None:
             server = await asyncio.start_unix_server(
-                self._serve_conn, path=self._uds_request, ssl=self.ssl_context
+                self._accept, path=self._uds_request, ssl=self.ssl_context
             )
             self.uds_path = self._uds_request
             self._servers.append(server)
@@ -754,6 +826,17 @@ class NetworkGateway:
 
     # -- connection handling -----------------------------------------------
 
+    def _accept(self, reader, writer) -> None:
+        """Start a new connection's task. It is created here rather than
+        handed to asyncio's stream protocol as a coroutine, whose
+        done-callback logs a traceback for a task that teardown
+        cancelled."""
+        task = asyncio.get_running_loop().create_task(
+            self._serve_conn(reader, writer)
+        )
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+
     async def _serve_conn(self, reader, writer) -> None:
         peername = writer.get_extra_info("peername")
         if not self.admission.admit_connection(self.stats["connections_open"]):
@@ -801,12 +884,23 @@ class NetworkGateway:
                         return  # clean EOF
                     self.stats["bytes_in"] += len(chunk)
                     pending.extend(decoder.feed(chunk))
-                # Requests are answered strictly in arrival order; the
-                # socket is not read again until this batch drains
-                # (per-connection backpressure).
+                # Burst dispatch (module docstring): the frames of this
+                # read pass admission and decode one at a time, in
+                # arrival order; consecutive admitted query frames with
+                # one backend call and (config, client) form a group
+                # that runs as one call when the group ends — at a
+                # non-query frame, a RETRY or ERROR, a change of key, a
+                # traced frame or FLAG_STATS connection (groups of one),
+                # or the end of the burst. Replies queue in arrival
+                # order, and the socket is not read again until the
+                # whole burst is answered (per-connection backpressure).
+                self.stats["frames_in"] += len(pending)
+                group = None
                 for ftype, request_id, payload in pending:
-                    self.stats["frames_in"] += 1
-                    await self._handle_frame(conn, ftype, request_id, payload)
+                    group = await self._handle_frame(
+                        conn, group, ftype, request_id, payload
+                    )
+                await self._run_group(conn, group)
                 pending.clear()
         except (asyncio.TimeoutError, TimeoutError):
             # best effort: the peer may already be gone
@@ -837,31 +931,42 @@ class NetworkGateway:
     async def _conn_writer(self, conn: _Conn) -> None:
         """One per connection: drains its send queue to the socket.
         Frames enqueue without awaiting, so the broadcast path never
-        blocks on a peer; this task alone absorbs the peer's pace."""
+        blocks on a peer; this task alone absorbs the peer's pace.
+        Every reply frame queued by the time it wakes goes out joined
+        in one write and one drain; a broadcast push frame carrying a
+        :class:`_PushTracker` is written and drained on its own, so
+        the tracker times exactly its flush."""
+        queue = conn.queue
         while True:
-            if not conn.queue:
+            if not queue:
                 conn.space.set()
                 conn.drained.set()
                 conn.wake.clear()
                 await conn.wake.wait()
                 continue
-            frame, tracker = conn.queue.popleft()
-            if frame is not None:
-                conn.queued_bytes -= len(frame)
-                # count before the write so a request handler's reply
-                # accounting is visible by the time the peer reads it
-                self.stats["frames_out"] += 1
-                self.stats["bytes_out"] += len(frame)
+            frame, tracker = queue[0]
+            if tracker is not None:
+                queue.popleft()
+                frames = [] if frame is None else [frame]
+            else:
+                frames = []
+                while queue and queue[0][1] is None:
+                    frames.append(queue.popleft()[0])
+            data = b"".join(frames)
+            conn.queued_bytes -= len(data)
+            # count before the write so a request handler's reply
+            # accounting is visible by the time the peer reads it
+            self.stats["frames_out"] += len(frames)
+            self.stats["bytes_out"] += len(data)
             try:
-                if frame is not None:
-                    conn.writer.write(frame)
+                if data:
+                    conn.writer.write(data)
                 await conn.writer.drain()
             except asyncio.CancelledError:
                 raise
             except Exception:
-                if frame is not None:
-                    self.stats["frames_out"] -= 1
-                    self.stats["bytes_out"] -= len(frame)
+                self.stats["frames_out"] -= len(frames)
+                self.stats["bytes_out"] -= len(data)
                 self._writer_failed(conn, tracker)
                 return
             if conn.queued_bytes <= self.reply_buffer:
@@ -888,9 +993,12 @@ class NetworkGateway:
         with contextlib.suppress(Exception):
             conn.writer.close()
 
-    async def _send(self, conn: _Conn, frame: bytes) -> None:
-        if not conn.enqueue(frame):
-            raise ConnectionError(f"connection {conn.peer} is closing")
+    async def _send(self, conn: _Conn, *frames: bytes) -> None:
+        """Queue ``frames`` back to back (no suspension point between
+        them), then wait for send-queue space."""
+        for frame in frames:
+            if not conn.enqueue(frame):
+                raise ConnectionError(f"connection {conn.peer} is closing")
         await self._wait_space(conn)
 
     async def _wait_space(self, conn: _Conn) -> None:
@@ -973,19 +1081,24 @@ class NetworkGateway:
             self._bridge, run
         )
 
-    async def _send_stats(
-        self, conn: _Conn, request_id: int, stats: dict | None
-    ) -> None:
-        if stats is None:
-            return
-        self.stats["stats_frames"] += 1
-        await self._send(
-            conn, P.encode_frame(P.STATS, request_id, P.encode_stats(stats))
-        )
-
     async def _handle_frame(
-        self, conn: _Conn, ftype: int, request_id: int, payload: bytes
-    ) -> None:
+        self,
+        conn: _Conn,
+        group: _Group | None,
+        ftype: int,
+        request_id: int,
+        payload: bytes,
+    ) -> _Group | None:
+        """Handle one frame of a burst; returns the query group still
+        open after it. Query frames go to :meth:`_admit_query`; any
+        other frame ends the open group first, so replies stay in
+        arrival order."""
+        if conn.hello_done and ftype in _QUERIES:
+            self.stats["requests"] += 1
+            return await self._admit_query(
+                conn, group, ftype, request_id, payload
+            )
+        await self._run_group(conn, group)
         if not conn.hello_done:
             if ftype != P.HELLO:
                 raise ProtocolError(
@@ -1026,64 +1139,151 @@ class NetworkGateway:
                     ),
                 ),
             )
-            return
+            return None
         self.stats["requests"] += 1
         try:
             await self._dispatch(conn, ftype, request_id, payload)
-        except (ProtocolError, CodecError) as exc:
-            await self._send_error(conn, request_id, P.E_MALFORMED, str(exc))
-        except AtlasError as exc:
-            await self._send_error(conn, request_id, P.E_UNAVAILABLE, str(exc))
-        except ReproError as exc:
-            await self._send_error(conn, request_id, P.E_BACKEND, repr(exc))
         except Exception as exc:  # keep the connection serving
-            await self._send_error(conn, request_id, P.E_BACKEND, repr(exc))
+            await self._send_error(conn, request_id, *_error_reply(exc))
+        return None
+
+    async def _admit_query(
+        self,
+        conn: _Conn,
+        group: _Group | None,
+        ftype: int,
+        request_id: int,
+        payload: bytes,
+    ) -> _Group | None:
+        """Admission and decode of one query frame, then its place in a
+        group: the open one when the key matches, else a fresh one.
+        Returns the group still open after this frame."""
+        # Admission guards *query* frames only: refusing bootstrap or
+        # subscription traffic would strand a client with no atlas at
+        # all. A refusal is a typed RETRY with the same request id —
+        # never a silent drop or a hung socket.
+        adm0 = time.perf_counter()
+        refusal = self.admission.admit_request(
+            conn.peer,
+            asyncio.get_running_loop().time(),
+            self._inflight_queries,
+        )
+        adm_us = (time.perf_counter() - adm0) * 1e6
+        # admission runs before payload decode, so the trace context
+        # (if any) is sniffed off the payload tail
+        trace = P.peek_trace(payload) if conn.trace else None
+        if trace is not None:
+            self.tracer.record(
+                trace,
+                "gw.admission",
+                Tracer.now_us() - adm_us,
+                adm_us,
+                verdict="refused" if refusal is not None else "admitted",
+                **({"reason": refusal[1]} if refusal is not None else {}),
+            )
+        if refusal is not None:
+            await self._run_group(conn, group)
+            retry_after, reason = refusal
+            self.stats["retries_sent"] += 1
+            await self._send(
+                conn,
+                P.encode_frame(
+                    P.RETRY, request_id, P.encode_retry(retry_after, reason)
+                ),
+            )
+            return None
+        dec0 = time.perf_counter()
+        try:
+            pairs, config, client, trace = _decode_query(
+                ftype, payload, conn.trace
+            )
+        except Exception as exc:
+            await self._run_group(conn, group)
+            await self._send_error(conn, request_id, *_error_reply(exc))
+            return None
+        if trace is not None:
+            dec_us = (time.perf_counter() - dec0) * 1e6
+            self.tracer.record(
+                trace,
+                "gw.decode",
+                Tracer.now_us() - dec_us,
+                dec_us,
+                frame=P.frame_name(ftype),
+                pairs=len(pairs),
+            )
+        key = (_QUERIES[ftype][0], config, client)
+        if group is not None and (trace is not None or group.key != key):
+            await self._run_group(conn, group)
+            group = None
+        if group is None:
+            group = _Group(key, trace)
+        group.add(ftype, request_id, pairs)
+        if trace is not None or conn.stats:
+            # a traced frame keeps an exact span tree, a FLAG_STATS
+            # reply its own STATS frame: both are groups of one
+            await self._run_group(conn, group)
+            return None
+        return group
+
+    async def _run_group(self, conn: _Conn, group: _Group | None) -> None:
+        """One backend call over the group's concatenated pairs, on one
+        bridge hop; each frame gets its slice of the answers, in arrival
+        order. A failed call (or an answer that does not encode) gets
+        each frame its own typed ERROR. The frames count as in-flight
+        queries (queue-depth shedding) while the call runs."""
+        if group is None:
+            return
+        method, config, client = group.key
+        args = (group.pairs, config, client)
+        trace, dispatch_span = group.trace, None
+        if trace is not None and getattr(self.backend, "supports_trace", False):
+            # mint the dispatch span id up front so the backend's spans
+            # (serve.route / shard.batch / kernel.search) parent on it;
+            # the span itself is recorded after the call, duration known
+            dispatch_span = self.tracer.mint_id()
+            args += ((trace[0], dispatch_span),)
+        n_frames = len(group.frames)
+        self._inflight_queries += n_frames
+        disp0 = time.perf_counter()
+        start_us = Tracer.now_us() if trace is not None else 0.0
+        try:
+            result, stats = await self._timed_call(
+                conn, getattr(self.backend, method), *args
+            )
+            if trace is not None:
+                self.tracer.record(
+                    trace,
+                    "gw.dispatch",
+                    start_us,
+                    (time.perf_counter() - disp0) * 1e6,
+                    span_id=dispatch_span,
+                    backend=self.backend.name,
+                )
+            replies = []
+            start = 0
+            for ftype, request_id, count in group.frames:
+                _, ok_type, encode_reply = _QUERIES[ftype]
+                reply = encode_reply(result[start : start + count])
+                start += count
+                replies.append(P.encode_frame(ok_type, request_id, reply))
+                if stats is not None:  # FLAG_STATS: a group of one
+                    stats_reply = P.encode_stats(stats)
+                    replies.append(P.encode_frame(P.STATS, request_id, stats_reply))
+        except Exception as exc:
+            code, message = _error_reply(exc)
+            for _, request_id, _ in group.frames:
+                await self._send_error(conn, request_id, code, message)
+            return
+        finally:
+            self._inflight_queries -= n_frames
+        if stats is not None:
+            self.stats["stats_frames"] += n_frames
+        await self._send(conn, *replies)
 
     async def _dispatch(
         self, conn: _Conn, ftype: int, request_id: int, payload: bytes
     ) -> None:
-        if ftype in (P.PREDICT, P.PREDICT_BATCH, P.QUERY_INFO):
-            # Admission guards *query* frames only: refusing bootstrap
-            # or subscription traffic would strand a client with no
-            # atlas at all. A refusal is a typed RETRY with the same
-            # request id — never a silent drop or a hung socket.
-            adm0 = time.perf_counter()
-            refusal = self.admission.admit_request(
-                conn.peer,
-                asyncio.get_running_loop().time(),
-                self._inflight_queries,
-            )
-            adm_us = (time.perf_counter() - adm0) * 1e6
-            # admission runs before payload decode, so the trace
-            # context (if any) is sniffed off the payload tail
-            trace = P.peek_trace(payload) if conn.trace else None
-            if trace is not None:
-                self.tracer.record(
-                    trace,
-                    "gw.admission",
-                    Tracer.now_us() - adm_us,
-                    adm_us,
-                    verdict="refused" if refusal is not None else "admitted",
-                    **({"reason": refusal[1]} if refusal is not None else {}),
-                )
-            if refusal is not None:
-                retry_after, reason = refusal
-                self.stats["retries_sent"] += 1
-                await self._send(
-                    conn,
-                    P.encode_frame(
-                        P.RETRY,
-                        request_id,
-                        P.encode_retry(retry_after, reason),
-                    ),
-                )
-                return
-            self._inflight_queries += 1
-            try:
-                await self._dispatch_query(conn, ftype, request_id, payload)
-            finally:
-                self._inflight_queries -= 1
-            return
+        """Every frame after HELLO that is not a query."""
         if ftype == P.ATLAS_FETCH:
             await self._dispatch_fetch(conn, request_id, payload)
         elif ftype == P.SUBSCRIBE:
@@ -1127,87 +1327,6 @@ class NetworkGateway:
                 f"unsupported frame {P.frame_name(ftype)}",
             )
 
-    async def _dispatch_query(
-        self, conn: _Conn, ftype: int, request_id: int, payload: bytes
-    ) -> None:
-        # Decode. FLAG_TRACE connections use the traced readers (which
-        # accept — and strip — the optional trailing trace context);
-        # classic connections keep the strict classic decoders, so a
-        # trace field from a peer that never negotiated it still
-        # closes the connection with a typed error.
-        dec0 = time.perf_counter()
-        trace = None
-        if ftype == P.PREDICT:
-            if conn.trace:
-                src, dst, config, trace = P.decode_predict_request_traced(
-                    payload
-                )
-            else:
-                src, dst, config = P.decode_predict_request(payload)
-            pairs, client = [(src, dst)], None
-            call = self.backend.predict_batch
-            ok_type = P.PREDICT_OK
-
-            def encode_reply(paths):
-                return P.encode_predict_reply(paths[0])
-
-        elif ftype == P.PREDICT_BATCH:
-            if conn.trace:
-                pairs, config, client, trace = P.decode_batch_request_traced(
-                    payload
-                )
-            else:
-                pairs, config, client = P.decode_batch_request(payload)
-            call = self.backend.predict_batch
-            ok_type, encode_reply = P.PREDICT_BATCH_OK, P.encode_batch_reply
-        elif ftype == P.QUERY_INFO:
-            if conn.trace:
-                pairs, config, client, trace = P.decode_query_request_traced(
-                    payload
-                )
-            else:
-                pairs, config, client = P.decode_query_request(payload)
-            call = self.backend.query_batch
-            ok_type, encode_reply = P.QUERY_INFO_OK, P.encode_query_reply
-        else:  # unreachable: _dispatch routes only the three query types
-            raise ProtocolError(f"not a query frame: {P.frame_name(ftype)}")
-        dec_us = (time.perf_counter() - dec0) * 1e6
-        args = (pairs, config, client)
-        dispatch_span = None
-        if trace is not None:
-            self.tracer.record(
-                trace,
-                "gw.decode",
-                Tracer.now_us() - dec_us,
-                dec_us,
-                frame=P.frame_name(ftype),
-                pairs=len(pairs),
-            )
-            if getattr(self.backend, "supports_trace", False):
-                # mint the dispatch span id up front so the backend's
-                # spans (serve.route / shard.batch / kernel.search)
-                # parent on it; the span itself is recorded after the
-                # call, duration known
-                dispatch_span = self.tracer.mint_id()
-                args = args + ((trace[0], dispatch_span),)
-        disp0 = time.perf_counter()
-        start_us = Tracer.now_us() if trace is not None else 0.0
-        result, stats = await self._timed_call(conn, call, *args)
-        if trace is not None:
-            self.tracer.record(
-                trace,
-                "gw.dispatch",
-                start_us,
-                (time.perf_counter() - disp0) * 1e6,
-                span_id=dispatch_span,
-                backend=self.backend.name,
-            )
-        await self._send(
-            conn,
-            P.encode_frame(ok_type, request_id, encode_reply(result)),
-        )
-        await self._send_stats(conn, request_id, stats)
-
     async def _dispatch_fetch(
         self, conn: _Conn, request_id: int, payload: bytes
     ) -> None:
@@ -1237,9 +1356,4 @@ class NetworkGateway:
                 frames.append(
                     P.encode_frame(P.DELTA_PUSH, 0, delta_payload)
                 )
-        for frame in frames:
-            if not conn.enqueue(frame):
-                raise ConnectionError(
-                    f"connection {conn.peer} is closing"
-                )
-        await self._wait_space(conn)
+        await self._send(conn, *frames)

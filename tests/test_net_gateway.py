@@ -10,8 +10,10 @@ delegate-vs-bootstrap behavior, and clean teardown.
 from __future__ import annotations
 
 import copy
+import logging
 import socket
 import struct
+import time
 
 import pytest
 
@@ -226,6 +228,22 @@ class TestBootstrapAndPush:
         finally:
             gw.close()
 
+    def test_poll_without_wait_applies_pushed_day(self):
+        gw = NetworkGateway(make_server(), tcp=("127.0.0.1", 0)).start()
+        try:
+            with NetworkClient.connect_tcp(*gw.tcp_address) as boot:
+                boot.bootstrap()
+                gw.push_delta(next_day_delta())
+                # max_wait=0 never blocks, but still reads what arrived
+                for _ in range(2000):
+                    if boot.poll_updates():
+                        break
+                    time.sleep(0.001)
+                assert boot.runtime.atlas.day == 1
+                assert boot.deltas_applied == 1
+        finally:
+            gw.close()
+
     def test_bootstrap_after_push_lands_on_current_day(self):
         # a client bootstrapping *after* pushes advanced the backend
         # gets the anchor payload plus a catch-up replay of the pushed
@@ -354,6 +372,21 @@ class TestLifecycle:
         with pytest.raises(NetworkError):
             gw.push_delta(next_day_delta())
         c.close()
+
+    def test_close_with_open_connection_logs_no_error(self, caplog):
+        gw = NetworkGateway(make_server(), tcp=("127.0.0.1", 0)).start()
+        c = NetworkClient.connect_tcp(*gw.tcp_address)
+        try:
+            assert c.predict(prefix_of(1), prefix_of(5)) is not None
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                gw.close()
+        finally:
+            c.close()
+        assert [
+            r.getMessage()
+            for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ] == []
 
     def test_uds_socket_file_removed_on_close(self, tmp_path):
         uds = str(tmp_path / "gw.sock")
