@@ -1,6 +1,7 @@
 """Benchmark fixtures: one default-scale scenario per session, plus a
-report sink that both prints each regenerated table/figure and archives it
-under ``benchmarks/results/``, and a query-perf recorder that appends
+report sink that prints each regenerated table/figure (and, with
+``BENCH_RECORD=1``, archives it under ``benchmarks/results/``), and a
+query-perf recorder that appends
 cold/warm/decode timings to ``BENCH_query.json`` at the repo root so
 successive PRs accumulate a comparable trajectory."""
 
@@ -69,11 +70,16 @@ def validation(scenario):
 
 @pytest.fixture(scope="session")
 def report():
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Print a regenerated table/figure; archive it under
+    ``benchmarks/results/`` only with ``BENCH_RECORD=1`` (the Makefile
+    bench targets), so a plain test run leaves tracked files alone."""
+    enabled = os.environ.get("BENCH_RECORD") == "1"
 
     def emit(name: str, text: str) -> None:
         print("\n" + text + "\n")
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        if enabled:
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
     return emit
 

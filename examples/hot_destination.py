@@ -98,8 +98,7 @@ def main() -> None:
         # FLAG_STATS through a gateway).
         load = service.load_stats()
         print(
-            f"  load: queue_depth={load['queue_depth']} "
-            f"inflight={load['inflight']} "
+            f"  load: inflight={load['inflight']} "
             f"req p50={load['req_p50_us']:.0f}us "
             f"p99={load['req_p99_us']:.0f}us"
         )

@@ -9,7 +9,7 @@ example stands up the scale-out path instead:
    shared memory, and spawn N shard worker processes that map it
    zero-copy (no per-worker compile, one physical copy of the graph),
 3. route queries through the front-end: consistent-hash fan-out by
-   destination cluster, request coalescing windows, batched fan-out,
+   destination cluster, one message per involved shard per batch,
 4. publish the next day and broadcast the binary delta — every worker
    patches its arrays in place and the fleet converges on one graph
    version (verified by cross-process fingerprints),
@@ -53,14 +53,15 @@ def main() -> None:
             f"in {elapsed * 1000:.1f} ms"
         )
 
-        # Coalescing window: duplicate submissions share one wire slot,
-        # same-destination queries ride one kernel search worker-side.
-        futures = [service.submit(prefixes[0], prefixes[9]) for _ in range(5)]
-        service.flush()
+        # Duplicate pairs in one batch: each involved shard still gets
+        # one message, and same-destination queries ride one kernel
+        # search worker-side.
+        before = sum(s["batches"] for s in service.shard_stats())
+        dupes = service.predict_batch([(prefixes[0], prefixes[9])] * 5)
+        sent = sum(s["batches"] for s in service.shard_stats()) - before
         print(
-            f"  coalescing: 5 submits -> "
-            f"{service.stats['coalesced']} coalesced, "
-            f"result: {futures[0].result() is not None}"
+            f"  duplicates: 5 identical pairs -> {sent} shard message(s), "
+            f"answers identical: {all(p == dupes[0] for p in dupes)}"
         )
 
         # Two-way PathInfos (forward by destination shard, reverse by

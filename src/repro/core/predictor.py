@@ -257,7 +257,7 @@ class INanoPredictor:
     ) -> None:
         if engine not in ("compiled", "legacy"):
             raise ValueError(f"unknown predictor engine {engine!r}")
-        if kernel not in ("vector", "scalar", "numba"):
+        if kernel not in ("vector", "scalar"):
             raise ValueError(f"unknown search kernel {kernel!r}")
         if primary_graph is not None and engine != "compiled":
             raise ValueError("externally-supplied graphs require the compiled engine")
@@ -265,18 +265,8 @@ class INanoPredictor:
         self.config = config or PredictorConfig.inano()
         self.engine = engine
         #: "vector" (default) runs cold searches through the bucket-queue
-        #: kernel (repro.core.search); "scalar" pins the spec loop;
-        #: "numba" opts into the JIT inner loops when numba is
-        #: importable and degrades to the plain vector kernel otherwise
+        #: kernel (repro.core.search); "scalar" pins the spec loop
         self.kernel = kernel
-        #: whether the numba JIT layer is actually active (requested
-        #: *and* importable); with numba absent this stays False and
-        #: ``kernel="numba"`` behaves exactly like ``"vector"``
-        self.kernel_jit = False
-        if kernel == "numba":
-            from repro.core import jit
-
-            self.kernel_jit = jit.available()
         #: record bucket-engine replay journals on cold searches so
         #: value-only delta days can repair cached searches in place
         #: (set by the runtime's PredictorPool)
@@ -568,7 +558,7 @@ class INanoPredictor:
         """One uncached search (engine + kernel dispatch, no LRU)."""
         if self.engine == "legacy":
             return self._search_legacy(graph, dst_cluster, providers)
-        if self.kernel in ("vector", "numba"):
+        if self.kernel == "vector":
             root = graph.node_id(TO_DST, DOWN, dst_cluster)
             if root is None:
                 return _empty_states()
@@ -576,7 +566,6 @@ class INanoPredictor:
             result = run_kernel(
                 graph, self.atlas, self.config, providers, root,
                 pool=pool, record=self.record_journal,
-                use_jit=self.kernel_jit,
             )
             if result is not None:
                 phase, eff, exitc, parent, nxt, journal = result

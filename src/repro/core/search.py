@@ -682,7 +682,6 @@ def run_kernel(
     root: int,
     pool: SearchStatePool | None = None,
     record: bool = False,
-    use_jit: bool = False,
 ):
     """Run the search kernel; returns ``(phase, eff, exitc, parent,
     nxt, journal)`` — five numpy state arrays bit-identical to the
@@ -704,18 +703,14 @@ def run_kernel(
     if PROFILE is None:
         if len(views.rest_lst) < _VECTOR_GRAPH_MIN:
             return _run_small(cg, atlas, config, providers, root, views, pool)
-        return _run_buckets(
-            cg, atlas, config, providers, root, views, pool, record, use_jit
-        )
+        return _run_buckets(cg, atlas, config, providers, root, views, pool, record)
     from time import perf_counter
 
     t0 = perf_counter()
     if len(views.rest_lst) < _VECTOR_GRAPH_MIN:
         out = _run_small(cg, atlas, config, providers, root, views, pool)
     else:
-        out = _run_buckets(
-            cg, atlas, config, providers, root, views, pool, record, use_jit
-        )
+        out = _run_buckets(cg, atlas, config, providers, root, views, pool, record)
     PROFILE["search_s"] = PROFILE.get("search_s", 0.0) + perf_counter() - t0
     return out
 
@@ -904,7 +899,6 @@ def _run_buckets(
     views: KernelViews,
     pool: SearchStatePool | None = None,
     record: bool = False,
-    use_jit: bool = False,
 ):
     """A fresh cold search through the phase-major bucket engine."""
     n = cg.n_nodes
@@ -924,9 +918,7 @@ def _run_buckets(
         phase, eff, exitc, parent, nxt, fin, contest,
         buckets, bucket_sc, bucket_keys, 1,
     )
-    return _bucket_engine(
-        cg, atlas, config, providers, views, state, rec, use_jit
-    )
+    return _bucket_engine(cg, atlas, config, providers, views, state, rec)
 
 
 def repair_kernel(
@@ -1050,9 +1042,7 @@ def repair_kernel(
         phase, eff, exitc, parent, nxt, fin, contest,
         buckets, {}, bucket_keys, count0,
     )
-    return _bucket_engine(
-        cg, atlas, config, providers, views, state, rec, False
-    )
+    return _bucket_engine(cg, atlas, config, providers, views, state, rec)
 
 
 def _bucket_engine(
@@ -1063,7 +1053,6 @@ def _bucket_engine(
     views: KernelViews,
     state: tuple,
     rec: _JournalRecorder | None,
-    use_jit: bool = False,
 ):
     """The phase-major bucket queue with vectorized frontier flushes
     over flat array state (see the module docstring for the equivalence
@@ -1113,11 +1102,6 @@ def _bucket_engine(
         if providers is not None
         else None
     )
-    jit_compose = None
-    if use_jit and not use_tuples and providers_arr is None:
-        from repro.core import jit as _jit
-
-        jit_compose = _jit.compose
     heappush = heapq.heappush
     heappop = heapq.heappop
 
@@ -1296,34 +1280,28 @@ def _bucket_engine(
         se = np.repeat(eff[s], cnt)
         sx = np.repeat(exitc[s], cnt)
         sn = np.repeat(nxt[s], cnt)
-        if jit_compose is not None:
-            v, b, cp, ch, cx, keep = jit_compose(
-                eids, sp, se, sx, e_src_np, e_da_np, e_op_np, e_ph_np,
-                e_lat_np, phase, eff, fin,
-            )
-        else:
-            v = e_src_np[eids]
-            b = e_da_np[eids]
-            pv = phase[v]
-            ev = eff[v]
-            valid = ~fin[v]
-            if use_tuples:
-                chk = (sn >= 0) & (b != sn) & bdeg_np[eids]
-                if n_tuple_keys:
-                    keys = ab2_np[eids] + sn
-                    pos = np.searchsorted(tuple_keys, keys)
-                    hit = tuple_keys[np.minimum(pos, n_tuple_keys - 1)] == keys
-                    valid &= ~chk | hit
-                else:
-                    valid &= ~chk
-            if providers_arr is not None:
-                a_np = e_sa_np[eids]
-                valid &= (sn != -1) | np.isin(a_np, providers_arr)
-            op = e_op_np[eids]
-            cp = np.where(op == OP_INTER, e_ph_np[eids], sp)
-            ch = se + 1
-            cx = np.where(op == OP_LATE_EXIT, sx + e_lat_np[eids], 0.0)
-            keep = valid & ((pv == 0) | (cp < pv) | ((cp == pv) & (ch <= ev)))
+        v = e_src_np[eids]
+        b = e_da_np[eids]
+        pv = phase[v]
+        ev = eff[v]
+        valid = ~fin[v]
+        if use_tuples:
+            chk = (sn >= 0) & (b != sn) & bdeg_np[eids]
+            if n_tuple_keys:
+                keys = ab2_np[eids] + sn
+                pos = np.searchsorted(tuple_keys, keys)
+                hit = tuple_keys[np.minimum(pos, n_tuple_keys - 1)] == keys
+                valid &= ~chk | hit
+            else:
+                valid &= ~chk
+        if providers_arr is not None:
+            a_np = e_sa_np[eids]
+            valid &= (sn != -1) | np.isin(a_np, providers_arr)
+        op = e_op_np[eids]
+        cp = np.where(op == OP_INTER, e_ph_np[eids], sp)
+        ch = se + 1
+        cx = np.where(op == OP_LATE_EXIT, sx + e_lat_np[eids], 0.0)
+        keep = valid & ((pv == 0) | (cp < pv) | ((cp == pv) & (ch <= ev)))
         idx = np.flatnonzero(keep)
         if idx.size == 0:
             return

@@ -12,12 +12,16 @@ in-process (``repro.runtime``) or over ``multiprocessing`` pipes
   :mod:`repro.net.protocol`, **pipelined**: a client may send any
   number of requests before reading replies, and the gateway answers
   in arrival order with matching request ids;
-* requests fan out to a backend — a sharded
-  :class:`~repro.serve.service.PredictionService` or a single-process
-  :class:`~repro.client.server.AtlasServer` — through a **single-thread
-  executor bridge**: the asyncio loop never blocks on a prediction, and
-  the backends (whose pipe protocol and predictor pool are not
-  thread-safe) see exactly one caller thread;
+* requests fan out to a backend through a **single-thread executor
+  bridge**: the asyncio loop never blocks on a prediction, and the
+  backends (whose pipe protocol and predictor pool are not
+  thread-safe) see exactly one caller thread. There are two backend
+  adapters: one over a sharded
+  :class:`~repro.serve.service.PredictionService`, and one over an
+  in-process :class:`~repro.runtime.runtime.AtlasRuntime` — a
+  single-process :class:`~repro.client.server.AtlasServer`'s shared
+  runtime, or a relay's private one (they differ only in where the
+  bootstrap anchor comes from and in the WELCOME backend name);
 * **burst dispatch**: the frames decoded from one socket read form a
   burst. Its query frames (PREDICT, PREDICT_BATCH, QUERY_INFO) pass
   admission and decode one at a time, in arrival order, and
@@ -216,26 +220,33 @@ class _ServiceBackend:
 
     def load_sample(self) -> dict:
         """The service's front-end load telemetry (no worker round
-        trips) for the STATS frame: queue depth, in-flight messages,
-        request round-trip percentiles. Runs on the bridge thread."""
+        trips) for the STATS frame: in-flight messages and request
+        round-trip percentiles. Runs on the bridge thread. The frame's
+        ``queue_depth`` field encodes 0: the service keeps no queue
+        below the gateway's burst dispatch."""
         sample = self.service.load_stats()
         return {
-            "queue_depth": sample["queue_depth"],
             "inflight": sample["inflight"],
             "req_p50_us": sample["req_p50_us"],
             "req_p99_us": sample["req_p99_us"],
         }
 
 
-class _ServerBackend:
-    """Bridge to a single-process :class:`~repro.client.server.AtlasServer`.
+class _RuntimeBackend:
+    """Bridge to one in-process :class:`~repro.runtime.runtime.AtlasRuntime`:
+    an :class:`~repro.client.server.AtlasServer`'s shared runtime, or a
+    relay's private one rolled forward by upstream pushes.
 
-    Queries answer through the server's own shared runtime (one
+    Queries answer through the runtime's own predictor pool (one
     compiled graph + one pooled search cache with every co-located
     consumer — which is what makes the remote/co-located equivalence
-    bit-for-bit trivial to audit)."""
+    bit-for-bit trivial to audit). ``runtime`` is a zero-argument
+    accessor (``AtlasServer.runtime`` rolls itself through the
+    server's published delta chain on each call); ``anchor`` is the
+    bootstrap-anchor policy ``day -> (day, payload)`` — None anchors on
+    an exact encode of the current day, the only day a relay can serve;
+    ``name`` is the backend name sent in WELCOME."""
 
-    name = "server"
     #: accepts a trace context as a fourth call argument and records a
     #: ``kernel.search`` span (kernel-counter deltas, cache-hit vs
     #: cold split, repair class) through the gateway-assigned tracer —
@@ -243,12 +254,14 @@ class _ServerBackend:
     supports_trace = True
     tracer = None  # set by the gateway
 
-    def __init__(self, server) -> None:
-        self.server = server
+    def __init__(self, name: str, runtime, anchor=None) -> None:
+        self.name = name
+        self._runtime_of = runtime
+        self._anchor = anchor
 
     @property
     def _runtime(self):
-        return self.server.runtime()
+        return self._runtime_of()
 
     @property
     def day(self) -> int:
@@ -282,47 +295,56 @@ class _ServerBackend:
         )
         return result
 
-    def predict_batch(self, pairs, config, client, trace=None):
+    def _run(self, fn, client, trace):
         if client is not None:
             raise ProtocolError(
                 "client-scoped queries need a sharded service backend"
             )
-        run = lambda: self._runtime.pool.predictor(config).predict_batch(
-            list(pairs)
-        )
         if trace is None or self.tracer is None:
-            return run()
-        return self._traced_run(run, trace)
+            return fn()
+        return self._traced_run(fn, trace)
+
+    def predict_batch(self, pairs, config, client, trace=None):
+        runtime = self._runtime
+        return self._run(
+            lambda: runtime.pool.predictor(config).predict_batch(list(pairs)),
+            client,
+            trace,
+        )
 
     def query_batch(self, pairs, config, client, trace=None):
-        if client is not None:
-            raise ProtocolError(
-                "client-scoped queries need a sharded service backend"
-            )
         runtime = self._runtime
-        run = lambda: combine_batches(
-            pairs,
-            runtime.pool.predictor(config).predict_batch,
-            runtime.atlas.day,
+        return self._run(
+            lambda: combine_batches(
+                pairs,
+                runtime.pool.predictor(config).predict_batch,
+                runtime.atlas.day,
+            ),
+            client,
+            trace,
         )
-        if trace is None or self.tracer is None:
-            return run()
-        return self._traced_run(run, trace)
 
     def atlas_bytes(self, day: int | None) -> tuple[int, bytes]:
-        """The published payload as the bootstrap anchor; when pushes
-        have advanced the runtime past the latest *published* day, the
-        gateway's delta-log replay carries the client the rest of the
-        way (the INNA codec quantizes, so only anchor + lossless INDB
-        deltas reproduces the runtime's exact atlas)."""
-        if day is None:
-            day = self.server.latest_day()
-        return day, self.server.full_atlas_bytes(day)
+        """The bootstrap anchor ``(day, payload)``. With an ``anchor``
+        policy (an ``AtlasServer``'s published payloads), pushes that
+        advanced the runtime past the latest *published* day are
+        carried by the gateway's delta-log replay (the INNA codec
+        quantizes, so only anchor + lossless INDB deltas reproduces the
+        runtime's exact atlas). Without one, only the current day is
+        servable, and its exact encode is always a valid anchor."""
+        if self._anchor is not None:
+            return self._anchor(day)
+        current = self.day
+        if day is not None and day != current:
+            raise AtlasError(
+                f"{self.name} serves day {current}, cannot bootstrap day {day}"
+            )
+        return self.reanchor_bytes()
 
     def reanchor_bytes(self) -> tuple[int, bytes]:
-        """Exact encode of the shared runtime's current atlas — the
-        very state a bootstrapped client must land on, so it anchors
-        bit-for-bit with an empty replay suffix."""
+        """Exact encode of the runtime's current atlas — the very state
+        a bootstrapped client must land on, so it anchors bit-for-bit
+        with an empty replay suffix."""
         runtime = self._runtime
         return runtime.atlas.day, encode_atlas(runtime.atlas, exact=True)
 
@@ -344,11 +366,25 @@ class _ServerBackend:
         return pool.kernel_stats(), dict(pool.last_repair)
 
 
+def _published_anchor(server):
+    """An ``AtlasServer``'s anchor policy: the published payload of the
+    requested (default: latest) day."""
+
+    def anchor(day: int | None) -> tuple[int, bytes]:
+        if day is None:
+            day = server.latest_day()
+        return day, server.full_atlas_bytes(day)
+
+    return anchor
+
+
 def _resolve_backend(backend):
     if hasattr(backend, "shard_snapshots"):  # PredictionService
         return _ServiceBackend(backend)
     if hasattr(backend, "full_atlas_bytes"):  # AtlasServer
-        return _ServerBackend(backend)
+        return _RuntimeBackend(
+            "server", backend.runtime, anchor=_published_anchor(backend)
+        )
     if hasattr(backend, "atlas_bytes") and hasattr(backend, "predict_batch"):
         return backend  # pre-built adapter (tests)
     raise TypeError(

@@ -10,12 +10,15 @@ entirely from the two existing wire roles:
   subscribes to delta pushes, and applies each pushed ``INDB`` payload
   to its own :class:`~repro.runtime.runtime.AtlasRuntime`;
 * **downstream**, it is a full :class:`~repro.net.gateway.NetworkGateway`
-  over that runtime: it answers PREDICT / QUERY_INFO / ATLAS_FETCH and
-  re-broadcasts every upstream push **bit-for-bit** — the same anchor
-  bytes seed its bootstrap replies and the same delta payloads fan out
-  to its subscribers, so a client behind any number of relay tiers
-  lands on exactly the origin backend's atlas (the equivalence suite
-  pins a 2-deep chain against the co-located oracle).
+  over that runtime, through the same in-process runtime adapter an
+  ``AtlasServer`` gateway uses (named ``"relay"`` in WELCOME, anchored
+  on an exact encode of its current day): it answers PREDICT /
+  QUERY_INFO / ATLAS_FETCH and re-broadcasts every upstream push
+  **bit-for-bit** — the same anchor bytes seed its bootstrap replies
+  and the same delta payloads fan out to its subscribers, so a client
+  behind any number of relay tiers lands on exactly the origin
+  backend's atlas (the equivalence suite pins a 2-deep chain against
+  the co-located oracle).
 
 Convergence needs no relay-specific protocol: the upstream subscription
 opens *before* the anchor fetch (no missed-push window), buffered
@@ -31,99 +34,13 @@ from __future__ import annotations
 import asyncio
 import threading
 
-from repro.atlas.serialization import (
-    decode_atlas,
-    decode_delta,
-    encode_atlas,
-)
-from repro.client.query import combine_batches
-from repro.errors import AtlasError, NetworkError, ProtocolError
+from repro.atlas.serialization import decode_atlas, decode_delta
+from repro.errors import NetworkError, ProtocolError
 from repro.net.client import NetworkClient
-from repro.net.gateway import NetworkGateway
+from repro.net.gateway import NetworkGateway, _RuntimeBackend
 from repro.runtime import AtlasRuntime
 
 __all__ = ["RelayGateway"]
-
-
-class _RelayBackend:
-    """The relay's serving state: one private runtime rolled forward by
-    upstream pushes. Mirrors ``_ServerBackend``'s query surface (shared
-    pool, no client scoping) — all calls ride the gateway's bridge
-    thread."""
-
-    name = "relay"
-    #: same trace contract as ``_ServerBackend``: the kernel runs in
-    #: this process, so a traced query gets an exact ``kernel.search``
-    #: span through the gateway-assigned tracer
-    supports_trace = True
-    tracer = None  # set by the gateway
-
-    def __init__(self, runtime: AtlasRuntime) -> None:
-        self.runtime = runtime
-
-    def _traced_run(self, fn, trace):
-        from repro.net.gateway import _ServerBackend
-
-        return _ServerBackend._traced_run(self, fn, trace)
-
-    @property
-    def _runtime(self) -> AtlasRuntime:  # _ServerBackend._traced_run reads it
-        return self.runtime
-
-    @property
-    def day(self) -> int:
-        return self.runtime.atlas.day
-
-    def predict_batch(self, pairs, config, client, trace=None):
-        if client is not None:
-            raise ProtocolError(
-                "client-scoped queries need the origin's service backend"
-            )
-        run = lambda: self.runtime.pool.predictor(config).predict_batch(
-            list(pairs)
-        )
-        if trace is None or self.tracer is None:
-            return run()
-        return self._traced_run(run, trace)
-
-    def query_batch(self, pairs, config, client, trace=None):
-        if client is not None:
-            raise ProtocolError(
-                "client-scoped queries need the origin's service backend"
-            )
-        run = lambda: combine_batches(
-            pairs,
-            self.runtime.pool.predictor(config).predict_batch,
-            self.runtime.atlas.day,
-        )
-        if trace is None or self.tracer is None:
-            return run()
-        return self._traced_run(run, trace)
-
-    def atlas_bytes(self, day: int | None) -> tuple[int, bytes]:
-        """Only the current lineage is servable (the relay holds no
-        published history); an exact encode of the runtime is always a
-        valid anchor for it."""
-        current = self.runtime.atlas.day
-        if day is not None and day != current:
-            raise AtlasError(
-                f"relay serves day {current}, cannot bootstrap day {day}"
-            )
-        return current, encode_atlas(self.runtime.atlas, exact=True)
-
-    def reanchor_bytes(self) -> tuple[int, bytes]:
-        return self.runtime.atlas.day, encode_atlas(
-            self.runtime.atlas, exact=True
-        )
-
-    def apply_delta(self, delta, payload: bytes) -> int:
-        if self.runtime.atlas.day < delta.new_day:
-            self.runtime.apply_delta(delta)
-        return self.runtime.atlas.day
-
-    def kernel_sample(self):
-        pool = self.runtime.pool
-        return pool.kernel_stats(), dict(pool.last_repair)
 
 
 class RelayGateway(NetworkGateway):
@@ -188,7 +105,11 @@ class RelayGateway(NetworkGateway):
         except BaseException:
             self._upstream.close()
             raise
-        super().__init__(_RelayBackend(runtime), tcp=tcp, uds=uds, **kwargs)
+        # the relay's serving state: its private runtime, anchored on an
+        # exact encode of the current day (it holds no published history)
+        super().__init__(
+            _RuntimeBackend("relay", lambda: runtime), tcp=tcp, uds=uds, **kwargs
+        )
         # seed the serving state with the upstream bytes verbatim: the
         # tier below anchors on the origin's exact payload and replays
         # the exact pushed suffix — nothing is re-encoded on this path

@@ -16,9 +16,10 @@ bit-for-bit guarantees:
   binary delta broadcasts straight into the in-place patch and
   warm-start repair path;
 * :mod:`repro.serve.service` — the :class:`PredictionService`
-  front-end: destination-hashed fan-out, request coalescing windows,
-  per-shard backpressure, delta broadcast with convergence handshakes,
-  and FROM_SRC measuring-client registration;
+  front-end: destination-hashed fan-out of each caller batch (one
+  message per involved shard — the network gateway's burst dispatch
+  is where requests coalesce), delta broadcast with convergence
+  handshakes, and FROM_SRC measuring-client registration;
 * :mod:`repro.serve.heat` — sliding-window per-destination heat
   tracking (:class:`HeatTracker`): hot destinations promote onto a
   replica set of ring successors and queries fan to the least-loaded
@@ -31,7 +32,7 @@ exports the server's latest published atlas into a running service.
 
 from repro.serve.hashring import HashRing
 from repro.serve.heat import HeatTracker, Tracker
-from repro.serve.service import PendingPrediction, PredictionService
+from repro.serve.service import PredictionService
 from repro.serve.shard import ShardManager
 from repro.serve.worker import graph_fingerprint, shard_worker_main
 
@@ -39,7 +40,6 @@ __all__ = [
     "HashRing",
     "HeatTracker",
     "Tracker",
-    "PendingPrediction",
     "PredictionService",
     "ShardManager",
     "graph_fingerprint",

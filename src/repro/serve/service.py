@@ -21,17 +21,14 @@ processes (:mod:`repro.serve.shard`), each holding its own
   locality. Because the delta broadcast keeps *every* shard's graph
   (and registered-client planes) current, replication is pure routing
   policy — any replica returns the bit-identical answer.
-* **Coalescing.** :meth:`submit` queues requests per shard and
-  :meth:`flush` ships each shard one batch: duplicate ``(src, dst)``
-  pairs in a window collapse to one slot, and distinct sources toward
-  one destination ride a single kernel search worker-side (the
-  predictor's destination-grouped batch path). :meth:`predict_batch`
-  fans a caller-supplied batch out to all involved shards concurrently
-  and reassembles results in order.
-* **Backpressure.** A shard whose queue reaches ``max_pending``
-  requests is flushed synchronously before more work is accepted for
-  it, bounding per-shard queue memory and keeping one outstanding
-  message per pipe (deadlock-free by construction).
+* **One query path.** :meth:`predict_batch` splits a caller's batch
+  by owning shard, sends each involved shard exactly one message, and
+  drains every reply before it returns, reassembling results in order.
+  Worker-side, distinct sources toward one destination ride a single
+  kernel search (the predictor's destination-grouped batch path).
+  Coalescing many small requests into one batch is the caller's job —
+  the network gateway's burst dispatch does it — so the pipes never
+  carry more than one outstanding message per shard.
 * **Delta broadcast.** :meth:`apply_delta` encodes one day's delta with
   the binary broadcast codec
   (:func:`~repro.atlas.serialization.encode_delta`) and fans the same
@@ -51,8 +48,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.atlas.delta import AtlasDelta, apply_delta_inplace
 from repro.atlas.serialization import decode_atlas, decode_delta, encode_delta
@@ -64,69 +59,9 @@ from repro.serve.hashring import DEFAULT_VNODES, HashRing
 from repro.serve.heat import HeatTracker
 from repro.serve.shard import ShardManager
 
-__all__ = ["PredictionService", "PendingPrediction"]
+__all__ = ["PredictionService"]
 
 _REQ_IDS = itertools.count(1)
-
-
-@dataclass
-class PendingPrediction:
-    """A queued one-way prediction; resolved by the next flush of its
-    shard (or any full :meth:`PredictionService.flush`)."""
-
-    src: int
-    dst: int
-    _service: object
-    _shard: int | None
-    done: bool = False
-    value: object = None
-    #: set when the worker failed this request's group; ``result()``
-    #: re-raises instead of masquerading as a no-path answer
-    error: Exception | None = None
-
-    def result(self):
-        """The PredictedPath (or None), flushing the queue if needed.
-        Raises :class:`~repro.errors.ShardStateError` if the request's
-        window failed worker-side."""
-        if not self.done:
-            self._service.flush()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-    def _resolve(self, value) -> None:
-        self.value = value
-        self.done = True
-
-    def _fail(self, error: Exception) -> None:
-        self.error = error
-        self.done = True
-
-
-class _ShardQueue:
-    """Per-shard pending requests, grouped by (config, client) and
-    deduplicated by (src, dst) within each group."""
-
-    __slots__ = ("groups", "requests")
-
-    def __init__(self) -> None:
-        #: (config, client) -> OrderedDict[(src, dst)] -> [futures]
-        self.groups: OrderedDict = OrderedDict()
-        self.requests = 0
-
-    def add(self, key, src, dst, future) -> bool:
-        """Queue one request; True when it coalesced onto an already
-        queued identical pair."""
-        group = self.groups.setdefault(key, OrderedDict())
-        waiters = group.get((src, dst))
-        if waiters is None:
-            group[(src, dst)] = [future]
-            coalesced = False
-        else:
-            waiters.append(future)
-            coalesced = True
-        self.requests += 1
-        return coalesced
 
 
 class PredictionService:
@@ -138,7 +73,6 @@ class PredictionService:
         n_shards: int = 4,
         *,
         vnodes: int = DEFAULT_VNODES,
-        max_pending: int = 256,
         timeout: float | None = None,
         mp_context=None,
         heat: HeatTracker | dict | bool | None = None,
@@ -160,7 +94,6 @@ class PredictionService:
         # Validate everything cheap before spawning the fleet, so bad
         # arguments cannot leak worker processes or shared blocks.
         self._ring = HashRing(range(n_shards), vnodes=vnodes)
-        self.max_pending = int(max_pending)
         #: bound on every broadcast / fan-out reply wait (seconds; None
         #: waits while the worker stays alive — dead workers raise
         #: promptly either way)
@@ -173,7 +106,6 @@ class PredictionService:
         self._shards = ShardManager(
             atlas_bytes, n_shards, mp_context=mp_context, atlas=self._atlas
         )
-        self._queues = [_ShardQueue() for _ in range(n_shards)]
         self._inflight = [0] * n_shards
         #: recent front-end request round-trips (send -> reply, in us):
         #: a registry histogram — bucket counts merge fleet-wide, the
@@ -187,14 +119,10 @@ class PredictionService:
             "serve.service",
             (
                 "requests",
-                "coalesced",
-                "backpressure_flushes",
-                "flushes",
                 "batches_routed",
                 "deltas_broadcast",
                 "bytes_broadcast",
                 "replica_routed",
-                "queue_depth",
                 "inflight",
                 "req_p50_us",
                 "req_p99_us",
@@ -231,20 +159,12 @@ class PredictionService:
         return self._shards.shared_bytes
 
     def close(self) -> None:
-        """Stop the workers and destroy the shared blocks. Pending
-        (unflushed) requests resolve to None. Idempotent — later calls
-        (context-manager exit after an explicit close, double teardown)
-        are no-ops."""
+        """Stop the workers and destroy the shared blocks. Idempotent —
+        later calls (context-manager exit after an explicit close,
+        double teardown) are no-ops."""
         if self._closed:
             return
         self._closed = True
-        for queue in self._queues:
-            for group in queue.groups.values():
-                for waiters in group.values():
-                    for future in waiters:
-                        future._resolve(None)
-            queue.groups.clear()
-            queue.requests = 0
         self._shards.close()
 
     def __enter__(self) -> "PredictionService":
@@ -283,19 +203,14 @@ class PredictionService:
             return self._ring.successors(cluster, self._heat.replicas)
         return [self._ring.shard_for(cluster)]
 
-    def _shard_load(self, shard: int, extra=None) -> int:
-        load = self._queues[shard].requests + self._inflight[shard]
-        if extra is not None:
-            load += extra.get(shard, 0)
-        return load
-
-    def _route_cluster(self, cluster: int, extra=None) -> tuple[int, bool]:
+    def _route_cluster(self, cluster: int, assigned: dict) -> tuple[int, bool]:
         """One query's ``(shard, promoted)``: the pinned ring owner
         (``promoted=False``), unless the heat tracker holds the
         cluster hot — then the least-loaded of its ``k`` successor
         replicas (ties break on replica order, so routing stays
-        deterministic for a given query sequence). ``extra`` adds
-        batch-transient per-shard assignments so one large batch
+        deterministic for a given query sequence). A replica's load is
+        its in-flight messages plus the batch-transient ``assigned``
+        per-shard counts, so one large batch
         spreads over the replicas instead of dogpiling the
         momentarily-idlest."""
         heat = self._heat
@@ -306,212 +221,28 @@ class PredictionService:
             return self._ring.shard_for(cluster), False
         replicas = self._ring.successors(cluster, heat.replicas)
         self.stats["replica_routed"] += 1
-        return min(replicas, key=lambda s: self._shard_load(s, extra)), True
+        return min(
+            replicas, key=lambda s: self._inflight[s] + assigned.get(s, 0)
+        ), True
 
     # -- one-way predictions ----------------------------------------------
 
-    def submit(
-        self, src: int, dst: int, config=None, client=None
-    ) -> PendingPrediction:
-        """Queue one prediction into its shard's coalescing window.
-
-        The request rides the next flush of that shard; duplicate
-        pairs in the window share one wire slot and one result, and a
-        shard at ``max_pending`` queued requests is flushed
-        synchronously first (backpressure).
-        """
-        self._check_open()
-        self.stats["requests"] += 1
-        cluster = self._atlas.cluster_of_prefix(dst)
-        if cluster is None:
-            future = PendingPrediction(src=src, dst=dst, _service=self, _shard=None)
-            future._resolve(None)
-            return future
-        shard = None
-        heat = self._heat
-        if heat is not None:
-            heat.record(cluster)
-            if heat.is_hot(cluster):
-                replicas = self._ring.successors(cluster, heat.replicas)
-                self.stats["replica_routed"] += 1
-                # Coalescing beats balancing: an identical pair already
-                # queued on any replica costs zero extra worker time.
-                for s in replicas:
-                    group = self._queues[s].groups.get((config, client))
-                    if group is not None and (src, dst) in group:
-                        shard = s
-                        break
-                else:
-                    shard = min(replicas, key=self._shard_load)
-        if shard is None:
-            shard = self._ring.shard_for(cluster)
-        future = PendingPrediction(src=src, dst=dst, _service=self, _shard=shard)
-        if self._queues[shard].requests >= self.max_pending:
-            self.stats["backpressure_flushes"] += 1
-            self._flush_shard(shard)
-        if self._queues[shard].add((config, client), src, dst, future):
-            self.stats["coalesced"] += 1
-        return future
-
-    def flush(self) -> None:
-        """Ship every shard's queued window.
-
-        Runs in rounds: each round sends at most **one** batch message
-        per shard (the pipe protocol's one-outstanding-request
-        invariant — a second in-flight message could mutual-send
-        deadlock on oversized windows), then drains that round's
-        replies from every shard before the next. Shards still work
-        concurrently within a round, and every reply is consumed before
-        any worker-side failure raises — a failed group cannot
-        desynchronize the other shards' streams.
-        """
-        self._run_rounds(self._take_queues(range(self.n_shards)))
-
-    def _flush_shard(self, shard: int) -> None:
-        self._run_rounds(self._take_queues([shard]))
-
-    def _take_queues(self, shards) -> dict:
-        taken = {}
-        for shard in shards:
-            queue = self._queues[shard]
-            if queue.requests:
-                self._queues[shard] = _ShardQueue()
-                taken[shard] = queue.groups
-        return taken
-
-    def _run_rounds(self, taken: dict) -> None:
-        """Every group taken off the queues ends this call either
-        resolved or failed — never stranded looking unanswered — and
-        every successfully sent message gets its reply drained, so a
-        failure on one shard cannot desynchronize the others. The
-        first error is raised after all rounds complete."""
-        first: ShardStateError | None = None
-        sent: list[tuple] = []
-        try:
-            while taken:
-                sent = []
-                for shard in list(taken):
-                    groups = taken[shard]
-                    (config, client), group = groups.popitem(last=False)
-                    if not groups:
-                        del taken[shard]
-                    pairs = list(group)
-                    req_id = next(_REQ_IDS)
-
-                    def deliver(paths, pairs=pairs, group=group):
-                        for pair, path in zip(pairs, paths):
-                            for future in group[pair]:
-                                future._resolve(path)
-
-                    def on_error(exc, pairs=pairs, group=group):
-                        for pair in pairs:
-                            for future in group[pair]:
-                                future._fail(exc)
-
-                    try:
-                        self._shards.send(
-                            shard, ("batch", req_id, pairs, config, client)
-                        )
-                    except ShardStateError as exc:
-                        # Dead pipe: fail this group and everything
-                        # else queued for the shard; keep the round
-                        # going for the healthy shards.
-                        on_error(exc)
-                        self._fail_groups(taken.pop(shard, {}), exc)
-                        if first is None:
-                            first = exc
-                        continue
-                    self._inflight[shard] += 1
-                    sent.append(
-                        (shard, req_id, deliver, on_error, time.perf_counter())
-                    )
-                    self.stats["flushes"] += 1
-                try:
-                    self._collect(sent)
-                except ShardStateError as exc:
-                    if first is None:
-                        first = exc
-                sent = []
-        except BaseException as exc:  # unexpected: strand nothing
-            error = ShardStateError(f"flush aborted: {exc!r}")
-            for shard, _, _, on_error, _ in sent:
-                self._inflight[shard] -= 1
-                on_error(error)
-            for groups in taken.values():
-                self._fail_groups(groups, error)
-            raise
-        if first is not None:
-            raise first
-
-    @staticmethod
-    def _fail_groups(groups: dict, error: Exception) -> None:
-        for group in groups.values():
-            for waiters in group.values():
-                for future in waiters:
-                    future._fail(error)
-
-    def _collect(self, sent: list[tuple]) -> None:
-        """Drain one reply per sent ``(shard, req_id, deliver,
-        on_error, t0)`` message — every drainable one, even past a dead
-        shard or a worker-side failure, so one failed request cannot
-        desynchronize the surviving shards' streams — then surface the
-        first error. ``on_error`` (when given) marks the group's
-        futures failed, so ``result()`` re-raises instead of passing a
-        failure off as a no-path answer."""
-        first = None
-
-        def failed(exc, on_error):
-            nonlocal first
-            if on_error is not None:
-                on_error(exc)
-            if first is None:
-                first = exc
-
-        for shard, req_id, deliver, on_error, t0 in sent:
-            try:
-                reply = self._shards.recv_raw(shard, timeout=self.timeout)
-            except ShardStateError as exc:  # dead pipe: drain the rest
-                self._inflight[shard] -= 1
-                failed(exc, on_error)
-                continue
-            self._inflight[shard] -= 1
-            self._req_hist.observe((time.perf_counter() - t0) * 1e6)
-            if reply[0] == "error":
-                try:
-                    self._shards.check(shard, reply)
-                except ShardStateError as exc:
-                    failed(exc, on_error)
-                continue
-            tag, got_id = reply[0], reply[1]
-            if tag != "batch" or got_id != req_id:
-                failed(
-                    ShardStateError(
-                        f"shard {shard} answered {tag!r}/{got_id} "
-                        f"to batch {req_id}"
-                    ),
-                    on_error,
-                )
-                continue
-            _, _, paths, spans = reply
-            if spans:
-                self.trace.extend(spans)
-            deliver(paths)
-        if first is not None:
-            raise first
-
     def predict(self, src_prefix_index: int, dst_prefix_index: int, config=None):
-        """One-way prediction (PredictedPath or None), immediately
-        flushed. Mirrors :meth:`AtlasServer.predict`'s
-        ``predict_or_none`` semantics."""
-        future = self.submit(src_prefix_index, dst_prefix_index, config)
-        if not future.done:
-            self._flush_shard(future._shard)
-        return future.value
+        """One-way prediction (PredictedPath or None): a batch of one.
+        Mirrors :meth:`AtlasServer.predict`'s ``predict_or_none``
+        semantics."""
+        return self.predict_batch([(src_prefix_index, dst_prefix_index)], config)[0]
 
     def predict_batch(self, pairs, config=None, client=None, trace=None) -> list:
         """Batched one-way predictions, fanned out to every involved
         shard concurrently; results align with ``pairs`` and match a
         single-process ``AtlasServer.predict_batch`` bit for bit.
+
+        Each involved shard gets one message, and every sent message
+        has its reply drained — even past a dead pipe or a worker-side
+        failure — before the first error is raised, so one failed shard
+        cannot desynchronize the surviving shards' streams and a failed
+        request never masquerades as a no-path answer.
 
         ``trace`` is an optional ``(trace_id, parent_span_id)``
         context (minted by a FLAG_TRACE network client, threaded down
@@ -523,7 +254,6 @@ class PredictionService:
         out: list = [None] * len(pairs)
         if not pairs:
             return out
-        self.flush()  # never interleave with queued windows on the pipes
         self.stats["requests"] += len(pairs)
         self.stats["batches_routed"] += 1
         by_shard: dict[int, tuple[list[int], list[tuple[int, int]], list[bool]]] = {}
@@ -541,7 +271,7 @@ class PredictionService:
             if self._heat is not None:
                 assigned[shard] = assigned.get(shard, 0) + 1
         sent = []
-        first: ShardStateError | None = None
+        errors: list[ShardStateError] = []
         for shard, (idxs, sub, hot) in by_shard.items():
             req_id = next(_REQ_IDS)
             child = None
@@ -565,24 +295,41 @@ class PredictionService:
             except ShardStateError as exc:
                 # Dead pipe: keep fanning out to (and draining) the
                 # healthy shards so their streams stay in sync.
-                if first is None:
-                    first = exc
+                errors.append(exc)
                 continue
-
-            def deliver(paths, idxs=idxs):
-                for i, path in zip(idxs, paths):
-                    out[i] = path
-
             self._inflight[shard] += 1
-            sent.append((shard, req_id, deliver, None, time.perf_counter()))
-        try:
-            self._collect(sent)
-        except ShardStateError as exc:
-            if first is None:
-                first = exc
-        if first is not None:
-            raise first
+            sent.append((shard, req_id, idxs, time.perf_counter()))
+        for shard, req_id, idxs, t0 in sent:
+            try:
+                paths = self._recv_batch(shard, req_id, t0)
+            except ShardStateError as exc:
+                errors.append(exc)
+                continue
+            for i, path in zip(idxs, paths):
+                out[i] = path
+        if errors:
+            raise errors[0]
         return out
+
+    def _recv_batch(self, shard: int, req_id: int, t0: float) -> list:
+        """Drain one shard's reply to batch ``req_id``: its paths, or a
+        :class:`~repro.errors.ShardStateError` for a dead pipe, a
+        worker-side failure or an out-of-order reply."""
+        try:
+            reply = self._shards.recv_raw(shard, timeout=self.timeout)
+        finally:
+            self._inflight[shard] -= 1
+        self._req_hist.observe((time.perf_counter() - t0) * 1e6)
+        self._shards.check(shard, reply)
+        tag, got_id = reply[0], reply[1]
+        if tag != "batch" or got_id != req_id:
+            raise ShardStateError(
+                f"shard {shard} answered {tag!r}/{got_id} to batch {req_id}"
+            )
+        _, _, paths, spans = reply
+        if spans:
+            self.trace.extend(spans)
+        return paths
 
     # -- two-way query interface -------------------------------------------
 
@@ -620,7 +367,6 @@ class PredictionService:
         ``INanoClient`` would, so client-scoped queries stay bit-for-bit
         with the single-process path."""
         self._check_open()
-        self.flush()
         self._shards.broadcast(
             (
                 "register",
@@ -638,7 +384,6 @@ class PredictionService:
         """Drop a client's merged views, pooled predictors, and
         warm-start records on every shard."""
         self._check_open()
-        self.flush()
         self._shards.broadcast(("release", token), timeout=self.timeout)
         self._clients.discard(token)
 
@@ -672,7 +417,6 @@ class PredictionService:
         if verify not in ("fingerprint", "shape"):
             raise ValueError(f"unknown verify mode {verify!r}")
         self._check_open()
-        self.flush()
         if payload is None:
             payload = encode_delta(delta)
         self._epoch += 1
@@ -723,7 +467,6 @@ class PredictionService:
     def shard_snapshots(self) -> list[dict]:
         """Fresh per-worker state snapshots (day + graph fingerprints)."""
         self._check_open()
-        self.flush()
         return [
             reply[1]
             for reply in self._shards.broadcast(
@@ -748,7 +491,6 @@ class PredictionService:
     def shard_stats(self) -> list[dict]:
         """Per-worker counters (batches, pairs, deltas, clients)."""
         self._check_open()
-        self.flush()
         return [
             reply[1]
             for reply in self._shards.broadcast(("stats",), timeout=self.timeout)
@@ -756,17 +498,13 @@ class PredictionService:
 
     def load_stats(self) -> dict:
         """The load telemetry the heat layer and an autoscaler read:
-        per-shard queue depths, in-flight messages, and rolling request
-        round-trip percentiles. Cheap — no worker round trips — and
-        mirrored into :attr:`stats` (``queue_depth`` / ``inflight`` /
-        ``req_p50_us`` / ``req_p99_us``) so the gateway's FLAG_STATS
-        frames carry the same numbers."""
-        depths = [queue.requests for queue in self._queues]
+        in-flight messages per shard and rolling request round-trip
+        percentiles. Cheap — no worker round trips — and mirrored into
+        :attr:`stats` (``inflight`` / ``req_p50_us`` / ``req_p99_us``)
+        so the gateway's FLAG_STATS frames carry the same numbers."""
         p50 = self._req_hist.percentile(0.50)
         p99 = self._req_hist.percentile(0.99)
         out = {
-            "queue_depths": depths,
-            "queue_depth": sum(depths),
             "inflight_per_shard": list(self._inflight),
             "inflight": sum(self._inflight),
             "req_p50_us": p50,
@@ -775,7 +513,6 @@ class PredictionService:
         if self._heat is not None:
             out["heat"] = self._heat.snapshot()
             out["hot_destinations"] = sorted(self._heat.hot)
-        self.stats["queue_depth"] = out["queue_depth"]
         self.stats["inflight"] = out["inflight"]
         self.stats["req_p50_us"] = p50
         self.stats["req_p99_us"] = p99
@@ -797,7 +534,7 @@ class PredictionService:
         for per-shard drill-down. Feed it to
         :func:`repro.obs.dashboard.render` or
         :meth:`~repro.obs.registry.MetricsRegistry.expose_text`."""
-        self.load_stats()  # refresh queue/inflight/percentile gauges
+        self.load_stats()  # refresh inflight/percentile gauges
         self._shards.export_metrics(self.obs)
         per_worker = self.shard_stats()
         out = dict(self.obs.snapshot())

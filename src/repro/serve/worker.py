@@ -24,7 +24,7 @@ same graph version.
 
 Wire protocol (one request message in, one reply out, in order)::
 
-    ("batch", req_id, pairs, config, client[, trace]) -> ("batch", req_id, [PredictedPath|None], spans|None)
+    ("batch", req_id, pairs, config, client, trace) -> ("batch", req_id, [PredictedPath|None], spans|None)
     ("delta", epoch, payload, verify)         -> ("delta", epoch, snapshot, report)
     ("register", token, links, extra, prefixes, rev) -> ("register", token)
     ("release", token)                        -> ("release", token)
@@ -230,8 +230,7 @@ def _traced_batch(obs, runtime, predictor, pairs, trace):
 def _dispatch(op, msg, runtime, clients, obs):
     stats = obs.stats
     if op == "batch":
-        _, req_id, pairs, config, token, *rest = msg
-        trace = rest[0] if rest else None
+        _, req_id, pairs, config, token, trace = msg
         pairs = list(pairs)
         predictor = _resolve_predictor(runtime, clients, config, token)
         if trace is None:

@@ -480,25 +480,6 @@ class TestWarmStartRepair:
         for g in (runtime.directed_graph(), runtime.closed_graph()):
             assert g.search_pool().free_bundles == 0
 
-    def test_numba_kernel_falls_back_without_dependency(self):
-        """``kernel="numba"`` must degrade gracefully when numba is not
-        importable: same predictions as the vector kernel, no error."""
-        from repro.core import jit
-
-        rng = random.Random(0xA11)
-        atlas = random_atlas(rng)
-        config = PredictorConfig.inano()
-        nb = INanoPredictor(atlas, config, kernel="numba")
-        vec = INanoPredictor(atlas, config, kernel="vector")
-        if not jit.available():
-            assert nb.kernel_jit is False
-        prefixes = sorted(atlas.prefix_to_cluster)
-        for src in prefixes[::2]:
-            for dst in prefixes[1::2]:
-                assert nb.predict_or_none(src, dst) == vec.predict_or_none(
-                    src, dst
-                ), (src, dst)
-
     def test_post_delta_first_query_is_cache_hit(self):
         """Prewarming turns the first post-delta query into a hit."""
         rng = random.Random(0xAB)

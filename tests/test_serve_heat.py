@@ -216,25 +216,6 @@ class TestServiceReplicaRouting:
                 "replication should hand the hot stream to every shard"
             )
 
-    def test_submit_path_coalesces_on_replicas(self, server, prefixes):
-        hot_dst = prefixes[0]
-        src = prefixes[1]
-        with server.serve(n_shards=2, heat=dict(self.HEAT)) as svc:
-            cluster = svc.atlas.cluster_of_prefix(hot_dst)
-            # drive the tracker hot through the submit path
-            for _ in range(6):
-                for s in prefixes[1:5]:
-                    svc.submit(s, hot_dst).result()
-            assert svc.heat.is_hot(cluster)
-            base = svc.stats["coalesced"]
-            futures = [svc.submit(src, hot_dst) for _ in range(4)]
-            svc.flush()
-            assert svc.stats["coalesced"] - base == 3, (
-                "identical hot pairs must coalesce onto one replica slot"
-            )
-            values = {f.result() for f in futures}
-            assert len(values) == 1
-
     def test_demotion_restores_pinned_routing(self, server, prefixes):
         hot_dst, cold_dst = prefixes[0], prefixes[5]
         with server.serve(
@@ -260,19 +241,15 @@ class TestServiceReplicaRouting:
                 [(s, d) for s in prefixes[:4] for d in prefixes[4:8]]
             )
             load = svc.load_stats()
-            assert len(load["queue_depths"]) == 2
-            assert load["queue_depth"] == 0  # nothing queued at rest
+            assert load["inflight_per_shard"] == [0, 0]  # all drained
             assert load["inflight"] == 0
             assert load["req_p50_us"] > 0
             assert load["req_p99_us"] >= load["req_p50_us"]
             assert "heat" in load
             # mirrored into the stats dict the gateway serializes
             assert svc.stats["req_p50_us"] == load["req_p50_us"]
-            assert svc.stats["queue_depth"] == 0
-            # queued-but-unflushed work shows up as depth
-            svc.submit(prefixes[0], prefixes[5])
-            assert svc.load_stats()["queue_depth"] == 1
-            svc.flush()
+            assert svc.stats["req_p99_us"] == load["req_p99_us"]
+            assert svc.stats["inflight"] == 0
 
     def test_worker_stats_carry_handle_percentiles(self, server, prefixes):
         with server.serve(n_shards=2) as svc:

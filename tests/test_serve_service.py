@@ -3,7 +3,7 @@
 Covers the pieces the full-chain equivalence suite
 (``test_serve_equivalence.py``) exercises only implicitly: the
 shared-memory export/import round trip and its copy-on-write
-materialization, coalescing windows and per-shard backpressure, client
+materialization, routing and the fan-out's failure handling, client
 registration/release across the fleet, divergence detection, and the
 pool's warm-start record lifecycle (a released client must stop
 drawing prewarm work).
@@ -106,25 +106,12 @@ class TestRoutingAndCoalescing:
             assert service.predict(src, dst) == server.predict(src, dst)
 
     def test_unmapped_destination_short_circuits(self, service):
-        future = service.submit(10**9 + 7, 10**9 + 8)
-        assert future.done and future.value is None
+        assert service.predict(10**9 + 7, 10**9 + 8) is None
         assert service.predict_batch([(10**9 + 7, 10**9 + 8)]) == [None]
-
-    def test_window_coalesces_duplicates(self, service, prefixes):
-        src, dst = prefixes[0], prefixes[5]
-        futures = [service.submit(src, dst) for _ in range(4)]
-        other = service.submit(prefixes[1], dst)
-        assert service.stats["coalesced"] == 3
-        service.flush()
-        assert all(f.done for f in futures + [other])
-        assert len({id(f.value) for f in futures}) == 1, (
-            "duplicates share one wire slot and one result object"
+        assert service.stats["batches_routed"] == 2
+        assert all(s["batches"] == 0 for s in service.shard_stats()), (
+            "unmapped destinations never reach a worker"
         )
-        # the whole window rode one worker batch per (config, client)
-        shard = service.shard_of_destination(dst)
-        stats = service.shard_stats()[shard]
-        assert stats["batches"] == 1
-        assert stats["pairs"] == 2  # (src,dst) dedup'd + (src2,dst)
 
     def test_shard_stats_expose_kernel_counters(self, service, prefixes):
         service.predict(prefixes[0], prefixes[5])
@@ -139,30 +126,9 @@ class TestRoutingAndCoalescing:
             s["kernel"]["searches"] + s["kernel"]["hits"] >= 1 for s in stats
         )
 
-    def test_result_blocks_until_flush(self, service, server, prefixes):
-        future = service.submit(prefixes[2], prefixes[7])
-        assert not future.done
-        assert future.result() == server.predict(prefixes[2], prefixes[7])
-
-    def test_backpressure_flushes_saturated_shard(self, server, prefixes):
-        svc = server.serve(n_shards=1, max_pending=3)
-        try:
-            futures = [
-                svc.submit(prefixes[i], prefixes[7]) for i in range(5)
-            ]
-            assert svc.stats["backpressure_flushes"] == 1
-            assert all(f.done for f in futures[:3]), "saturated window drained"
-            assert not futures[3].done
-            svc.flush()
-            assert all(f.done for f in futures)
-        finally:
-            svc.close()
-
     def test_close_resolves_pending_and_rejects_new_work(self, server, prefixes):
         svc = server.serve(n_shards=N_SHARDS)
-        future = svc.submit(prefixes[0], prefixes[5])
         svc.close()
-        assert future.done and future.value is None
         with pytest.raises(ServiceError):
             svc.predict(prefixes[0], prefixes[5])
         svc.close()  # idempotent
@@ -228,21 +194,6 @@ class TestFleetState:
         assert service.predict_batch(pairs) == server.predict_batch(pairs)
         assert service.converged()
 
-    def test_failed_window_futures_reraise_not_none(self, service, prefixes):
-        from repro.errors import ShardStateError
-
-        future = service.submit(prefixes[0], prefixes[5], client="nobody")
-        with pytest.raises(ShardStateError):
-            service.flush()
-        assert future.done and future.error is not None
-        with pytest.raises(ShardStateError):
-            # a failed request must not masquerade as "no path"
-            future.result()
-        # healthy requests still resolve afterwards
-        ok = service.submit(prefixes[0], prefixes[5])
-        service.flush()
-        assert ok.done and ok.error is None
-
     def test_invalid_arguments_rejected_before_spawning(self, server):
         with pytest.raises(ValueError):
             server.serve(n_shards=2, vnodes=0)
@@ -256,23 +207,27 @@ class TestFleetState:
 
         svc = server.serve(n_shards=2)
         try:
-            d0 = next(p for p in prefixes if svc.shard_of_destination(p) == 0)
+            d0 = [p for p in prefixes if svc.shard_of_destination(p) == 0][:3]
             d1 = next(p for p in prefixes if svc.shard_of_destination(p) == 1)
-            healthy = svc.submit(prefixes[0], d0)
-            doomed = svc.submit(prefixes[0], d1)
-            svc._shards._conns[1].close()  # shard 1's pipe dies
-            with pytest.raises(ShardStateError):
-                svc.flush()
-            # the healthy shard's request was sent, collected, resolved
-            assert healthy.done and healthy.error is None
-            assert healthy.value == server.predict(prefixes[0], d0)
-            # the dead shard's request failed loudly, not silently-None
-            with pytest.raises(ShardStateError):
-                doomed.result()
-            # and the healthy shard's pipe stayed in sync afterwards
-            assert svc.predict(prefixes[0], d0) == server.predict(
-                prefixes[0], d0
-            )
+            healthy = [(prefixes[0], d) for d in d0]
+            send = svc._shards.send
+
+            def send_then_kill_shard_1(shard, msg):
+                send(shard, msg)
+                svc._shards._conns[1].close()  # shard 1's pipe dies
+
+            # shard 0's group is routed first, so shard 1's pipe dies
+            # between the two sends of one fan-out
+            svc._shards.send = send_then_kill_shard_1
+            with pytest.raises(ShardStateError, match="shard 1"):
+                svc.predict_batch(healthy + [(prefixes[0], d1)])
+            svc._shards.send = send
+            # shard 0's reply was drained: nothing in flight, and its
+            # stream answers the next request with that request's reply
+            assert svc._inflight == [0, 0]
+            reply = svc._shards.request(0, ("stats",))
+            assert reply[0] == "stats" and reply[1]["batches"] == 1
+            assert svc.predict_batch(healthy) == server.predict_batch(healthy)
         finally:
             svc.close()
 
@@ -370,11 +325,11 @@ class TestCloseAndLiveness:
 
     def test_close_is_idempotent(self, server, prefixes):
         svc = server.serve(n_shards=N_SHARDS)
-        future = svc.submit(prefixes[0], prefixes[5])
+        svc.predict(prefixes[0], prefixes[5])
         svc.close()
-        assert future.done and future.value is None
+        assert svc._shards.closed
         svc.close()  # second explicit close: no-op
-        assert future.value is None
+        assert svc._shards.closed
 
     def test_context_exit_after_explicit_close(self, server):
         with server.serve(n_shards=N_SHARDS) as svc:
