@@ -13,11 +13,13 @@ both transports, recorded to ``BENCH_net.json`` under ``BENCH_RECORD=1``
   ≥ 1k pipelined queries/s on warm destinations;
 * **delta push** — wall time from :meth:`NetworkGateway.push_delta` to
   a subscribed bootstrapped client having *applied* the day in place
-  (decode + CSR patch + warm-start repair included), plus the wire
-  size of the push;
+  (decode + CSR patch + prewarm included), plus the wire size of the
+  push;
 * **fan-out sweep** — wall time from :meth:`NetworkGateway.push_delta`
   to the *last* of N loopback subscribers having received the day's
-  push frame, for N = 1, 50, 200. The acceptance gate is the 200/1
+  push frame, for N = 1, 50, 200. The arms alternate round by round
+  (rotating which goes first) and each takes its median, so host drift
+  lands on every arm alike. The acceptance gate is the 200/1 median
   latency ratio staying within ``FANOUT_RATIO_GATE``: per-subscriber
   distribution work must stay negligible against the day's shared
   encode+apply cost. Subscribers here *receive* rather than apply —
@@ -53,7 +55,7 @@ PIPELINE_ROUNDS = 15
 LOCKSTEP_QUERIES = 200
 QPS_GATE = 1000.0
 SWEEP_NS = (1, 50, 200)
-SWEEP_ROUNDS = 3
+SWEEP_ROUNDS = 9
 FANOUT_RATIO_GATE = 2.0
 
 
@@ -285,7 +287,7 @@ def _wait_until(predicate, timeout: float = 10.0) -> None:
 
 
 def test_bench_push_fanout_sweep(server, bench_record_net, report):
-    server.runtime()  # live runtime: every push repairs the compiled core
+    server.runtime()  # live runtime: every push patches the compiled core
     gateway = NetworkGateway(server, tcp=("127.0.0.1", 0))
     gateway.start()
     gc.disable()
@@ -296,15 +298,16 @@ def test_bench_push_fanout_sweep(server, bench_record_net, report):
         # link's latency nudges, i.e. a full-size value-churn day (a
         # real scenario day costs a ~10 s topology rebuild per round)
         cur = copy.deepcopy(server.runtime().atlas)
-        best_ms: dict[int, float] = {}
-        fanout_us: dict[int, float] = {}
+        elapsed: dict[int, list[float]] = {n: [] for n in SWEEP_NS}
+        fanout: dict[int, list[float]] = {n: [] for n in SWEEP_NS}
         wire_bytes = 0
-        for n in SWEEP_NS:
-            _wait_until(lambda: not gateway._conns)
-            subs = _SweepSubscribers(host, port, n)
-            try:
-                _wait_until(lambda: len(gateway._conns) == n)
-                for _ in range(SWEEP_ROUNDS):
+        for r in range(SWEEP_ROUNDS):
+            first = r % len(SWEEP_NS)
+            for n in SWEEP_NS[first:] + SWEEP_NS[:first]:
+                _wait_until(lambda: not gateway._conns)
+                subs = _SweepSubscribers(host, port, n)
+                try:
+                    _wait_until(lambda: len(gateway._conns) == n)
                     nxt = copy.deepcopy(cur)
                     nxt.day = cur.day + 1
                     for key, rec in nxt.links.items():
@@ -323,25 +326,25 @@ def test_bench_push_fanout_sweep(server, bench_record_net, report):
                     start = time.perf_counter()
                     push = gateway.push_delta(delta)
                     assert done.wait(30.0)
-                    elapsed_ms = (time.perf_counter() - start) * 1e3
+                    elapsed[n].append((time.perf_counter() - start) * 1e3)
                     th.join()
                     assert push["subscribers"] == n
                     wire_bytes = push["wire_bytes"]
                     subs.validate_round(delta)
-                    if n not in best_ms or elapsed_ms < best_ms[n]:
-                        best_ms[n] = elapsed_ms
-                        fanout_us[n] = gateway.stats["push_enqueue_us"]
-            finally:
-                subs.close()
+                    fanout[n].append(gateway.stats["push_enqueue_us"])
+                finally:
+                    subs.close()
         assert gateway.stats["push_errors"] == 0
         assert gateway.stats["push_drops"] == 0
     finally:
         gc.enable()
         gateway.close()
 
-    ratio = best_ms[SWEEP_NS[-1]] / best_ms[SWEEP_NS[0]]
+    median_ms = {n: statistics.median(elapsed[n]) for n in SWEEP_NS}
+    fanout_us = {n: statistics.median(fanout[n]) for n in SWEEP_NS}
+    ratio = median_ms[SWEEP_NS[-1]] / median_ms[SWEEP_NS[0]]
     for n in SWEEP_NS:
-        stats[f"all_received_{n}_ms"] = round(best_ms[n], 3)
+        stats[f"all_received_{n}_ms"] = round(median_ms[n], 3)
     stats["ratio_200_over_1"] = round(ratio, 3)
     stats["fanout_loop_us_200"] = round(fanout_us[SWEEP_NS[-1]], 1)
     stats["wire_bytes"] = wire_bytes
@@ -353,10 +356,10 @@ def test_bench_push_fanout_sweep(server, bench_record_net, report):
     report(
         "net_push_fanout",
         render_table(
-            "Delta push fan-out (TCP loopback, best of "
-            f"{SWEEP_ROUNDS} rounds)",
+            "Delta push fan-out (TCP loopback, median of "
+            f"{SWEEP_ROUNDS} alternating rounds)",
             ["subscribers", "push -> all received"],
-            [(str(n), f"{best_ms[n]:.2f} ms") for n in SWEEP_NS]
+            [(str(n), f"{median_ms[n]:.2f} ms") for n in SWEEP_NS]
             + [
                 ("ratio 200/1", f"{ratio:.2f}x"),
                 ("fan-out loop @200", f"{fanout_us[SWEEP_NS[-1]]:.0f} us"),

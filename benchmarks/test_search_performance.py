@@ -9,16 +9,15 @@ Two metrics on two atlases (GC off, medians), appended to
   configs, on (a) the default-scenario atlas and (b) a synthetic
   production-shape "fanout" atlas (~4k ASes, one cluster per AS, dense
   multi-homing — the scale regime the kernel targets).
-* ``post_delta_first_query`` — the update-to-first-query path the
-  ROADMAP names as the top open item: after ``apply_delta``, the first
-  query against a hot destination under warm-start repair + pool
-  prewarming, versus the pre-repair architecture where the version
-  bump cold-started every destination (simulated by flushing the
-  pooled search cache after the patch).
-* ``value_repair_first_query`` — bounded in-place repair: a chain of
-  latency-only deltas on the fanout atlas, where touched cached
-  searches replay from their journal frontier at apply time; gates
-  that the replay path fires and that the first post-delta query stays
+* ``post_delta_first_query`` — the update-to-first-query path: after
+  ``apply_delta``, the first query against a hot destination under
+  pool prewarming (the hottest stale searches re-run against the new
+  graph at apply time), versus a cold start where the version bump
+  strands every destination (simulated by flushing the pooled search
+  cache after the patch).
+* ``value_repair_first_query`` — a chain of latency-only deltas on the
+  fanout atlas: every cached search goes dirty and the hot ones are
+  prewarmed at apply time; gates that the first post-delta query stays
   within 3x of an untouched warm-path hit.
 
 Schema-2 entries carry per-phase breakdowns (``phases`` sub-dicts:
@@ -26,8 +25,8 @@ state alloc vs relax vs extract for cold searches).
 
 Gates: the kernel must beat the spec loop outright on cold searches
 (dedicated floor 1.35x on the best config; measured 1.5-1.7x), and
-repair+prewarming must cut post-delta first-query latency by >= 3x (it
-lands at orders of magnitude — the first query becomes a cache hit).
+prewarming must cut post-delta first-query latency by >= 3x (it lands
+at orders of magnitude — the first query becomes a cache hit).
 """
 
 from __future__ import annotations
@@ -289,8 +288,8 @@ def test_bench_post_delta_first_query(
         for delta in deltas:
             runtime.apply_delta(delta)
             if not warm:
-                # the pre-repair architecture: the version bump strands
-                # every cached search, the first query runs cold
+                # no prewarm: the version bump strands every cached
+                # search, the first query runs cold
                 predictor._search_cache.clear()
             start = time.perf_counter()
             predictor.predict_or_none(*hot[0])
@@ -321,8 +320,8 @@ def test_bench_post_delta_first_query(
             "Post-delta first query (hot destination)",
             ["arm", "median ms"],
             [
-                ("cold start (pre-repair architecture)", f"{cold_ms:.3f}"),
-                ("warm-start repair + prewarm", f"{warm_ms:.4f}"),
+                ("cold start (no prewarm)", f"{cold_ms:.3f}"),
+                ("pool prewarm", f"{warm_ms:.4f}"),
                 ("speedup", f"{speedup:.0f}x"),
             ],
         ),
@@ -334,9 +333,7 @@ def test_bench_post_delta_first_query(
 def _value_only_next(atlas: Atlas, seed: int) -> Atlas:
     """The next day with only link *values* changed (no edge added or
     removed): rescale ~1% of the latencies — the paper's small-daily-
-    churn regime, and well inside the repair path's touched-edge budget
-    (``warmstart._REPAIR_MAX_TOUCHED``) — so the delta patches in place
-    and the pooled searches repair via bounded re-relaxation."""
+    churn regime — so the delta takes the value-only patch path."""
     nxt = copy.deepcopy(atlas)
     nxt.day = atlas.day + 1
     rng = random.Random(seed)
@@ -351,11 +348,10 @@ def _value_only_next(atlas: Atlas, seed: int) -> Atlas:
 
 
 def test_bench_value_repair_first_query(bench_record_search, report):
-    """Bounded in-place repair on value-only days: after a latency-only
-    delta, the first query against a hot destination (whose cached
-    search was repaired — replayed from the journal frontier — at apply
-    time) must land within 3x of an untouched warm-path hit, and the
-    replay path must actually fire (counted from the apply reports)."""
+    """Value-only days: after a latency-only delta, the first query
+    against a hot destination (whose search was prewarmed against the
+    new graph at apply time) must land within 3x of an untouched
+    warm-path hit."""
     atlas = fanout_atlas()
     config = PredictorConfig.inano()
     all_prefixes = sorted(atlas.prefix_to_cluster)
@@ -366,7 +362,7 @@ def test_bench_value_repair_first_query(bench_record_search, report):
     predictor = runtime.pool.predictor(config)
     for pair in hot:
         predictor.predict_or_none(*pair)
-    counts = {"reused": 0, "repaired": 0, "replayed": 0, "dirty": 0}
+    counts = {"dirty": 0, "prewarmed": 0}
     first_times: list[float] = []
     warm_times: list[float] = []
     gc.disable()
@@ -380,7 +376,7 @@ def test_bench_value_repair_first_query(bench_record_search, report):
             # one unmeasured query on a *different* entry absorbs the
             # node's one-time post-patch lazy work (compiled-view
             # refresh) — that cost belongs to the apply segment
-            # (bench-update), not to per-entry repair
+            # (bench-update), not to the first query
             predictor.predict_or_none(*hot[1])
             start = time.perf_counter()
             predictor.predict_or_none(*hot[0])
@@ -388,9 +384,8 @@ def test_bench_value_repair_first_query(bench_record_search, report):
             # the untouched-warm-path baseline: the same warm cached
             # search serving a source it has not answered yet — a pure
             # pooled-cache hit plus one path extraction, which is what
-            # any not-yet-memoized pair costs regardless of repair
-            # (the repair itself must flush memoized paths: the values
-            # they baked in changed)
+            # any not-yet-memoized pair costs regardless of prewarm
+            # (a prewarmed search starts with no memoized paths)
             fresh_src = srcs[_HOT_DESTINATIONS + day]
             start = time.perf_counter()
             predictor.predict_or_none(fresh_src, hot[0][1])
@@ -416,19 +411,16 @@ def test_bench_value_repair_first_query(bench_record_search, report):
     report(
         "search_value_repair",
         render_table(
-            "Value-only delta: repaired first query vs untouched warm hit",
+            "Value-only delta: prewarmed first query vs untouched warm hit",
             ["metric", "value"],
             [
                 ("first query after delta (ms)", f"{first_ms:.4f}"),
                 ("untouched warm path, new pair (ms)", f"{warm_ms:.4f}"),
                 ("ratio", f"{ratio:.2f}x"),
-                ("replayed", str(counts["replayed"])),
-                ("reused", str(counts["reused"])),
                 ("dirty", str(counts["dirty"])),
+                ("prewarmed", str(counts["prewarmed"])),
             ],
         ),
     )
-    # the bounded-repair path must carry real traffic on value-only days
-    assert counts["replayed"] >= 1, counts
     dedicated = os.environ.get("BENCH_RECORD") == "1"
     assert ratio <= (3.0 if dedicated else 6.0), (first_ms, warm_ms, counts)

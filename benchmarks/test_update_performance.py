@@ -20,6 +20,10 @@ with GC off, medians over alternating-day delta chains:
   compiled state (primary + warm closed fallback, rebuilt via
   ``INanoPredictor``'s constructor after every update).
 
+The three arms (patch, recompile, seed) step through the same chain
+side by side, rotating which goes first each day, so host drift lands
+on all of them alike.
+
 The acceptance gate rides on the ``node`` ratio: one patched runtime
 must beat per-consumer recompilation by >= 5x update-to-first-query.
 Results append to ``BENCH_update.json``.
@@ -53,17 +57,21 @@ _CONSUMERS = [
 #: distinct query destinations across the node; the rest re-hit hot
 #: targets (shared-cache wins the pool architecture is built for)
 _DISTINCT_DESTINATIONS = 4
-_ROUNDS = 8
+_ROUNDS = 16
 
 
 @pytest.fixture(scope="module")
 def update_chain(scenario):
-    """Alternating day-0/day-1 content as a reusable delta chain."""
+    """Alternating day-0/day-1 content as a reusable delta chain.
+
+    Chain entries are shallow copies that differ only in ``day``: they
+    share the scenario's datasets, so consumers must deep-copy before
+    mutating (every runtime below starts from a deep copy)."""
     a0 = scenario.atlas(0)
     a1 = scenario.atlas(1)
     chain = []
     for day in range(_ROUNDS + 1):
-        atlas = copy.deepcopy(a0 if day % 2 == 0 else a1)
+        atlas = copy.copy(a0 if day % 2 == 0 else a1)
         atlas.day = day
         chain.append(atlas)
     deltas = [compute_delta(b, n) for b, n in zip(chain, chain[1:])]
@@ -134,47 +142,59 @@ def _median(values: list[float]) -> float:
     return ordered[len(ordered) // 2]
 
 
-def _runtime_cycle_times(chain, deltas, from_src, query_pairs, mode):
-    """Per-delta update-to-all-consumers-answered, shared runtime."""
+def _consumer_predictors(runtime, from_src):
+    """Each consumer's pooled predictor, resolved the way a consumer
+    asks for it after every update."""
     config = PredictorConfig.inano()
-    runtime = AtlasRuntime(copy.deepcopy(chain[0]))
-    runtime.directed_graph()
-    runtime.closed_graph()
-    runtime.merged_graph("measurer", from_src, {}, rev=0)
-    for (name, measures), (src, dst) in zip(_CONSUMERS, query_pairs):
-        predictor = runtime.pool.predictor(
+    return [
+        runtime.pool.predictor(
             config,
             client_key=name if measures else None,
             from_src_links=from_src if measures else None,
             from_src_rev=0,
         )
+        for name, measures in _CONSUMERS
+    ]
+
+
+def _runtime_arm(chain, from_src, query_pairs, mode):
+    """A shared runtime with directed + closed + one merged view
+    materialized and every consumer's first query answered; returns its
+    per-delta step: ``delta -> (update-to-all-consumers-answered ms,
+    apply ms)``."""
+    runtime = AtlasRuntime(copy.deepcopy(chain[0]))
+    runtime.directed_graph()
+    runtime.closed_graph()
+    runtime.merged_graph("measurer", from_src, {}, rev=0)
+    for predictor, (src, dst) in zip(
+        _consumer_predictors(runtime, from_src), query_pairs
+    ):
         predictor.predict_or_none(src, dst)
-    times = []
-    apply_times = []
-    for delta in deltas:
+
+    def step(delta):
         start = time.perf_counter()
         runtime.apply_delta(delta, mode=mode)
         mid = time.perf_counter()
-        for (name, measures), (src, dst) in zip(_CONSUMERS, query_pairs):
-            predictor = runtime.pool.predictor(
-                config,
-                client_key=name if measures else None,
-                from_src_links=from_src if measures else None,
-                from_src_rev=0,
-            )
+        for predictor, (src, dst) in zip(
+            _consumer_predictors(runtime, from_src), query_pairs
+        ):
             predictor.predict_or_none(src, dst)
-        times.append((time.perf_counter() - start) * 1000)
-        apply_times.append((mid - start) * 1000)
-    return times, apply_times
+        end = time.perf_counter()
+        return (end - start) * 1000, (mid - start) * 1000
+
+    return step
 
 
-def _seed_cycle_times(chain, deltas, from_src, query_pairs):
+def _seed_arm(chain, from_src, query_pairs):
     """The pre-runtime architecture: every consumer owns its compiled
-    state and rebuilds it (primary + warm closed fallback) per update."""
+    state and rebuilds it (primary + warm closed fallback) per update.
+    Same step signature as :func:`_runtime_arm`; the apply share is not
+    separable, so both numbers are the whole cycle."""
     config = PredictorConfig.inano()
     atlas = copy.deepcopy(chain[0])
-    times = []
-    for delta in deltas:
+
+    def step(delta):
+        nonlocal atlas
         start = time.perf_counter()
         atlas = apply_delta(atlas, delta)
         for (name, measures), (src, dst) in zip(_CONSUMERS, query_pairs):
@@ -183,8 +203,31 @@ def _seed_cycle_times(chain, deltas, from_src, query_pairs):
             )
             predictor.fallback_graph  # the warm consumer's closed graph
             predictor.predict_or_none(src, dst)
-        times.append((time.perf_counter() - start) * 1000)
-    return times
+        ms = (time.perf_counter() - start) * 1000
+        return ms, ms
+
+    return step
+
+
+def _alternating_times(chain, deltas, from_src, query_pairs):
+    """Per-delta cycle times of the three arms — patching runtime,
+    recompiling runtime, seed architecture — stepped through the same
+    chain side by side, rotating which arm goes first day by day.
+    Returns ``{arm: (cycle ms list, apply ms list)}``."""
+    arms = {
+        "patch": _runtime_arm(chain, from_src, query_pairs, "patch"),
+        "recompile": _runtime_arm(chain, from_src, query_pairs, "recompile"),
+        "seed": _seed_arm(chain, from_src, query_pairs),
+    }
+    out = {name: ([], []) for name in arms}
+    order = list(arms)
+    for i, delta in enumerate(deltas):
+        first = i % len(order)
+        for name in order[first:] + order[:first]:
+            total, apply = arms[name](delta)
+            out[name][0].append(total)
+            out[name][1].append(apply)
+    return out
 
 
 def test_bench_update_to_first_query(
@@ -193,15 +236,12 @@ def test_bench_update_to_first_query(
     chain, deltas = update_chain
     gc.disable()
     try:
-        patched, patched_apply = _runtime_cycle_times(
-            chain, deltas, from_src, query_pairs, "patch"
-        )
-        recompiled, recompiled_apply = _runtime_cycle_times(
-            chain, deltas, from_src, query_pairs, "recompile"
-        )
-        seed_arch = _seed_cycle_times(chain, deltas, from_src, query_pairs)
+        arms = _alternating_times(chain, deltas, from_src, query_pairs)
     finally:
         gc.enable()
+    patched, patched_apply = arms["patch"]
+    recompiled, recompiled_apply = arms["recompile"]
+    seed_arch = arms["seed"][0]
 
     single_patch = _median(patched)
     single_recompile = _median(recompiled)
@@ -219,7 +259,7 @@ def test_bench_update_to_first_query(
         runtime_ratio=round(single_ratio, 2),
         node_ratio=round(node_ratio, 2),
         # schema-2 phase breakdown: the apply segment (patch/recompile +
-        # warm-start repair + prewarm) vs the consumers' first queries
+        # prewarm) vs the consumers' first queries
         phases={
             "patch_apply_ms": round(_median(patched_apply), 3),
             "patch_queries_ms": round(

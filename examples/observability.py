@@ -13,7 +13,7 @@ This example lights up all of it against a real sharded deployment:
    and every layer it crosses records spans — gateway decode /
    admission / dispatch, the front-end's shard routing (pinned vs
    promoted replica), the worker's batch handling, the kernel search
-   itself (cache-hit vs cold, repair class),
+   itself (cache-hit vs cold),
 3. fetch the assembled span tree back over ``TRACE_FETCH`` and render
    it,
 4. heat one destination until the hotspot layer promotes it, and watch

@@ -462,7 +462,7 @@ def encode_delta(delta, compress_level: int = 6) -> bytes:
 def decode_delta(data: bytes):
     """Decode a broadcast payload back into an ``AtlasDelta``; validates
     framing. The decoded object feeds ``AtlasRuntime.apply_delta``
-    directly — in-place atlas mutation, CSR patch, warm-start repair —
+    directly — in-place atlas mutation, CSR patch, pool prewarm —
     with no intermediate representation."""
     from repro.atlas.delta import AtlasDelta
 

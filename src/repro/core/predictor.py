@@ -191,13 +191,10 @@ class _CompiledStates:
     function of the finished search, so repeated queries against a
     cached destination skip the parent-chain walk entirely.
 
-    ``journal`` is the bucket engine's replay journal when recording
-    was on (pool-managed predictors), enabling bounded in-place repair
-    after value-only delta days. ``pool`` points at the
-    :class:`~repro.core.search.SearchStatePool` the arrays came from so
-    eviction/repair can recycle them; recycled arrays may be handed to
-    the next search, so holders of a states object must drop it once
-    its cache entry is gone.
+    ``pool`` points at the :class:`~repro.core.search.SearchStatePool`
+    the arrays came from so eviction can recycle them; recycled arrays
+    may be handed to the next search, so holders of a states object
+    must drop it once its cache entry is gone.
     """
 
     root_id: int | None
@@ -207,12 +204,7 @@ class _CompiledStates:
     parent: object
     nxt: object
     paths: dict[int, PredictedPath]
-    journal: object = None
     pool: object = None
-
-    def parent_np(self):
-        """The int64 parent-edge array (vectorized batch extraction)."""
-        return self.parent
 
     def recycle(self) -> None:
         """Return the state arrays to their pool (caller must own the
@@ -232,13 +224,6 @@ def _empty_states() -> _CompiledStates:
     )
 
 
-#: cap on the summed replay-journal bytes a predictor retains across
-#: its cached searches; beyond it the least-recently-used journals are
-#: dropped (their searches stay cached but repair falls back to the
-#: dirty re-search path)
-_JOURNAL_BUDGET_BYTES = 48 << 20
-
-
 class INanoPredictor:
     """Predicts PoP-level routes between arbitrary prefixes from an atlas."""
 
@@ -253,7 +238,6 @@ class INanoPredictor:
         kernel: str = "vector",
         primary_graph: CompiledGraph | None = None,
         fallback_factory=None,
-        record_journal: bool = False,
     ) -> None:
         if engine not in ("compiled", "legacy"):
             raise ValueError(f"unknown predictor engine {engine!r}")
@@ -267,10 +251,6 @@ class INanoPredictor:
         #: "vector" (default) runs cold searches through the bucket-queue
         #: kernel (repro.core.search); "scalar" pins the spec loop
         self.kernel = kernel
-        #: record bucket-engine replay journals on cold searches so
-        #: value-only delta days can repair cached searches in place
-        #: (set by the runtime's PredictorPool)
-        self.record_journal = record_journal
         #: lightweight kernel counters the serving layer surfaces:
         #: cache hits/misses and cumulative cold-search microseconds
         self.kernel_stats = {
@@ -492,8 +472,8 @@ class INanoPredictor:
     ):
         """The (cached) per-destination search for an explicit provider
         gate — the providers are part of the cache key, so the runtime's
-        warm-start repair and pool prewarming can re-run a cached search
-        without resolving a destination prefix."""
+        pool prewarming can re-run a cached search without resolving a
+        destination prefix."""
         cache_key = (graph.version, dst_cluster, providers)
         cache = self._search_cache
         cached = cache.get(cache_key)
@@ -515,34 +495,14 @@ class INanoPredictor:
             if isinstance(evicted, _CompiledStates):
                 evicted.recycle()
         cache[cache_key] = states
-        if isinstance(states, _CompiledStates) and states.journal is not None:
-            self._trim_journals()
         return states
 
-    def _trim_journals(self) -> None:
-        """Drop least-recently-used replay journals until the summed
-        journal bytes fit the budget (searches stay cached; repair for
-        the trimmed ones falls back to the dirty re-search path)."""
-        total = 0
-        for st in self._search_cache.values():
-            if getattr(st, "journal", None) is not None:
-                total += st.journal.nbytes()
-        if total <= _JOURNAL_BUDGET_BYTES:
-            return
-        for st in self._search_cache.values():
-            if getattr(st, "journal", None) is not None:
-                total -= st.journal.nbytes()
-                st.journal = None
-                if total <= _JOURNAL_BUDGET_BYTES:
-                    break
-
     def release_search_state(self) -> None:
-        """Free every cached search's state arrays and journals and the
-        per-graph state-pool freelists this predictor has touched (pool
-        release / teardown path)."""
+        """Free every cached search's state arrays and the per-graph
+        state-pool freelists this predictor has touched (pool release /
+        teardown path)."""
         for st in self._search_cache.values():
             if isinstance(st, _CompiledStates):
-                st.journal = None
                 st.pool = None
         self._search_cache.clear()
         for graph in (self.graph, self._fallback_graph):
@@ -564,15 +524,10 @@ class INanoPredictor:
                 return _empty_states()
             pool = graph.search_pool()
             result = run_kernel(
-                graph, self.atlas, self.config, providers, root,
-                pool=pool, record=self.record_journal,
+                graph, self.atlas, self.config, providers, root, pool=pool
             )
             if result is not None:
-                phase, eff, exitc, parent, nxt, journal = result
-                return _CompiledStates(
-                    root, phase, eff, exitc, parent, nxt, {},
-                    journal=journal, pool=pool,
-                )
+                return _CompiledStates(root, *result, {}, pool=pool)
             # ASNs too large to pack: fall through to the spec loop
         return self._search_compiled(graph, dst_cluster, providers)
 
@@ -1090,7 +1045,7 @@ class INanoPredictor:
         import numpy as np
 
         e_dst, e_lat, e_loss, node_cluster, node_asn, node_plane = cg.np_views()
-        parent = states.parent_np()
+        parent = states.parent
         n = len(nids)
         cur = np.array(nids, dtype=np.int64)
         lat = np.zeros(n)

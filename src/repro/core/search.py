@@ -84,38 +84,11 @@ engine). That holds because:
   ever decides the node's settle position; the kernel pushes exactly
   that entry.
 
-Bounded re-relaxation repair (the repair-frontier theorem)
-----------------------------------------------------------
-
-Bucket-engine searches optionally record a **replay journal**: every
-state improvement (node, phase, hops, cost, parent edge, next ASN,
-reserved counter, pushed flag), every contest-list mutation, and a
-watermark (pending-entry counter + row counts) at every live bucket
-pop. Because bucket keys pop in strictly increasing order, the journal
-lets :func:`repair_kernel` reconstruct the engine's exact mid-search
-state at any bucket boundary.
-
-For a **value-only** patch, a changed edge value is first *read* by the
-search at the settle of the edge's target endpoint ``u = e_dst[ei]``
-(deferred relaxation composes the edge there; contest refolds reuse the
-cost recorded at relax time; loss is never read by the search). A
-churned three-tuple ``(a, b, c)`` is first read at the settle of an
-endpoint ``u`` of an ``(a, b)`` edge whose settled next-ASN equals
-``c``. Let ``K0`` be the minimum final ``(phase, hops)`` key over all
-such reached endpoints. Every bucket strictly before ``K0`` pops
-identical entries, settles identical nodes, and writes identical state
-(including counters) in the patched cold run as in the recorded run —
-so re-running the engine from the recorded ``K0`` watermark over the
-preserved arrays is **bit-for-bit equal to a cold re-search**, at the
-cost of only the suffix of the search. Replayed runs re-record their
-journal (truncated prefix + live suffix), so value-only repairs chain
-across consecutive delta days.
-
 The scalar loop stays available as the kernel's executable spec behind
 ``INanoPredictor(..., kernel="scalar")``; the randomized property suite
 (``tests/test_search_kernel_property.py``) asserts equality over random
-atlases, ablation configs, provider gates, FROM_SRC merges, delta days
-and journal replays.
+atlases, ablation configs, provider gates, FROM_SRC merges and delta
+days.
 
 The kernel needs every ASN packable into a fixed radix (three ASNs per
 membership key in one int64); :func:`kernel_views` reports ``ok=False``
@@ -158,11 +131,6 @@ _K2_MASK = (1 << _K2_SHIFT) - 1
 #: tuples instead of column chunks (tiny-array overhead)
 _CHUNK_MIN = 24
 
-#: journal row cap: a search recording more improvement rows than this
-#: drops its journal (the search result is unaffected; a later
-#: value-only repair falls back to the dirty re-search path)
-_JOURNAL_MAX_ROWS = 1 << 17
-
 #: optional per-phase profile sink: set to a dict to accumulate
 #: ``alloc_s`` (state acquisition) and ``search_s`` (total kernel)
 #: wall seconds; benchmarks read it for the schema-2 phase breakdown
@@ -190,7 +158,7 @@ class SearchStatePool:
     float64 exit cost — sized to the graph's node count. One pool hangs
     off each :class:`CompiledGraph` (``cg.search_pool()``), shared by
     every predictor searching that graph, so the warm path allocates no
-    per-query state: evicted and repaired searches recycle their
+    per-query state: evicted and retired searches recycle their
     bundles here. A node-count change (renumbering day, recompile)
     drops the freelist via :meth:`resize`.
 
@@ -290,241 +258,6 @@ def _acquire_state(pool: SearchStatePool | None, n: int, reset: bool):
     )
     PROFILE["alloc_s"] = PROFILE.get("alloc_s", 0.0) + perf_counter() - t0
     return out
-
-
-class SearchJournal:
-    """Finalized replay journal of one bucket-engine search.
-
-    Improvement rows (one per state write, in event order): ``v`` node,
-    ``p``/``h``/``x`` the written phase/hops/exit cost, ``ei`` parent
-    edge, ``b`` next ASN, ``c`` reserved counter, ``pushed`` whether a
-    pending entry was pushed for the row. Contest rows mirror every
-    contest-list mutation (``creset`` True replaces the list). Bucket
-    rows record, per *live* bucket pop in strictly increasing key
-    order, the counter and row-count watermarks at that pop.
-    """
-
-    __slots__ = (
-        "v", "p", "h", "x", "ei", "b", "c", "pushed",
-        "cv", "cei", "cx", "creset",
-        "bk_p", "bk_h", "bk_count", "bk_rows", "bk_crows",
-    )
-
-    def __init__(self, v, p, h, x, ei, b, c, pushed,
-                 cv, cei, cx, creset,
-                 bk_p, bk_h, bk_count, bk_rows, bk_crows):
-        self.v = v
-        self.p = p
-        self.h = h
-        self.x = x
-        self.ei = ei
-        self.b = b
-        self.c = c
-        self.pushed = pushed
-        self.cv = cv
-        self.cei = cei
-        self.cx = cx
-        self.creset = creset
-        self.bk_p = bk_p
-        self.bk_h = bk_h
-        self.bk_count = bk_count
-        self.bk_rows = bk_rows
-        self.bk_crows = bk_crows
-
-    @property
-    def rows(self) -> int:
-        return len(self.v)
-
-    def nbytes(self) -> int:
-        return sum(
-            getattr(self, f).nbytes for f in self.__slots__
-        )
-
-
-class _JournalRecorder:
-    """Order-preserving journal accumulator: vectorized flushes append
-    whole array chunks, scalar paths stage tuples that flush into a
-    chunk before the next array append. Exceeding the row cap kills
-    the recorder (finalize returns None); the search is unaffected."""
-
-    __slots__ = (
-        "parts", "sv", "sp", "sh", "sx", "sei", "sb", "sc", "spush",
-        "cparts", "scv", "scei", "scx", "screset",
-        "bkp", "bkh", "bkc", "bkr", "bkcr",
-        "rows", "crows", "dead",
-    )
-
-    def __init__(self) -> None:
-        self.parts: list[tuple] = []
-        self.sv: list = []
-        self.sp: list = []
-        self.sh: list = []
-        self.sx: list = []
-        self.sei: list = []
-        self.sb: list = []
-        self.sc: list = []
-        self.spush: list = []
-        self.cparts: list[tuple] = []
-        self.scv: list = []
-        self.scei: list = []
-        self.scx: list = []
-        self.screset: list = []
-        self.bkp: list = []
-        self.bkh: list = []
-        self.bkc: list = []
-        self.bkr: list = []
-        self.bkcr: list = []
-        self.rows = 0
-        self.crows = 0
-        self.dead = False
-
-    def seed(self, j: SearchJournal, rows0: int, crows0: int, nbk: int):
-        """Start from the truncated prefix of a prior journal (replay)."""
-        if rows0:
-            self.parts.append((
-                j.v[:rows0].copy(), j.p[:rows0].copy(), j.h[:rows0].copy(),
-                j.x[:rows0].copy(), j.ei[:rows0].copy(), j.b[:rows0].copy(),
-                j.c[:rows0].copy(), j.pushed[:rows0].copy(),
-            ))
-        if crows0:
-            self.cparts.append((
-                j.cv[:crows0].copy(), j.cei[:crows0].copy(),
-                j.cx[:crows0].copy(), j.creset[:crows0].copy(),
-            ))
-        self.bkp = j.bk_p[:nbk].tolist()
-        self.bkh = j.bk_h[:nbk].tolist()
-        self.bkc = j.bk_count[:nbk].tolist()
-        self.bkr = j.bk_rows[:nbk].tolist()
-        self.bkcr = j.bk_crows[:nbk].tolist()
-        self.rows = rows0
-        self.crows = crows0
-
-    def _kill(self) -> None:
-        self.dead = True
-        self.parts.clear()
-        self.cparts.clear()
-        for lst in (self.sv, self.sp, self.sh, self.sx, self.sei,
-                    self.sb, self.sc, self.spush, self.scv, self.scei,
-                    self.scx, self.screset, self.bkp, self.bkh,
-                    self.bkc, self.bkr, self.bkcr):
-            lst.clear()
-
-    def _flush_scalars(self) -> None:
-        if self.sv:
-            self.parts.append((
-                np.array(self.sv, np.int64),
-                np.array(self.sp, np.int64),
-                np.array(self.sh, np.int64),
-                np.array(self.sx, np.float64),
-                np.array(self.sei, np.int64),
-                np.array(self.sb, np.int64),
-                np.array(self.sc, np.int64),
-                np.array(self.spush, bool),
-            ))
-            for lst in (self.sv, self.sp, self.sh, self.sx, self.sei,
-                        self.sb, self.sc, self.spush):
-                lst.clear()
-
-    def _flush_contest(self) -> None:
-        if self.scv:
-            self.cparts.append((
-                np.array(self.scv, np.int64),
-                np.array(self.scei, np.int64),
-                np.array(self.scx, np.float64),
-                np.array(self.screset, bool),
-            ))
-            for lst in (self.scv, self.scei, self.scx, self.screset):
-                lst.clear()
-
-    def add_row(self, v, p, h, x, ei, b, c, pushed) -> None:
-        if self.dead:
-            return
-        self.sv.append(v)
-        self.sp.append(p)
-        self.sh.append(h)
-        self.sx.append(x)
-        self.sei.append(ei)
-        self.sb.append(b)
-        self.sc.append(c)
-        self.spush.append(pushed)
-        self.rows += 1
-        if self.rows > _JOURNAL_MAX_ROWS:
-            self._kill()
-
-    def add_rows(self, v, p, h, x, ei, b, c) -> None:
-        """A vectorized all-pushed improvement chunk (fast winners)."""
-        if self.dead:
-            return
-        self._flush_scalars()
-        self.parts.append((v, p, h, x, ei, b, c, None))
-        self.rows += len(v)
-        if self.rows > _JOURNAL_MAX_ROWS:
-            self._kill()
-
-    def add_crow(self, v, ei, x, reset) -> None:
-        if self.dead:
-            return
-        self.scv.append(v)
-        self.scei.append(ei)
-        self.scx.append(x)
-        self.screset.append(reset)
-        self.crows += 1
-
-    def add_crows(self, v, ei, x) -> None:
-        """A vectorized all-reset contest chunk (fast winners)."""
-        if self.dead:
-            return
-        self._flush_contest()
-        self.cparts.append((v, ei, x, None))
-        self.crows += len(v)
-
-    def add_bucket(self, p, h, count) -> None:
-        if self.dead:
-            return
-        self.bkp.append(p)
-        self.bkh.append(h)
-        self.bkc.append(count)
-        self.bkr.append(self.rows)
-        self.bkcr.append(self.crows)
-
-    def finalize(self) -> SearchJournal | None:
-        if self.dead:
-            return None
-        self._flush_scalars()
-        self._flush_contest()
-
-        def cat(idx, dtype, fill=None):
-            arrs = []
-            for part in self.parts:
-                a = part[idx]
-                if a is None:
-                    a = np.full(len(part[0]), fill, dtype=dtype)
-                arrs.append(np.asarray(a, dtype=dtype))
-            if not arrs:
-                return np.zeros(0, dtype=dtype)
-            return np.concatenate(arrs) if len(arrs) > 1 else arrs[0]
-
-        def ccat(idx, dtype, fill=None):
-            arrs = []
-            for part in self.cparts:
-                a = part[idx]
-                if a is None:
-                    a = np.full(len(part[0]), fill, dtype=dtype)
-                arrs.append(np.asarray(a, dtype=dtype))
-            if not arrs:
-                return np.zeros(0, dtype=dtype)
-            return np.concatenate(arrs) if len(arrs) > 1 else arrs[0]
-
-        return SearchJournal(
-            cat(0, np.int64), cat(1, np.int64), cat(2, np.int64),
-            cat(3, np.float64), cat(4, np.int64), cat(5, np.int64),
-            cat(6, np.int64), cat(7, bool, True),
-            ccat(0, np.int64), ccat(1, np.int64), ccat(2, np.float64),
-            ccat(3, bool, True),
-            np.array(self.bkp, np.int64), np.array(self.bkh, np.int64),
-            np.array(self.bkc, np.int64), np.array(self.bkr, np.int64),
-            np.array(self.bkcr, np.int64),
-        )
 
 
 @dataclass
@@ -681,13 +414,11 @@ def run_kernel(
     providers: frozenset | None,
     root: int,
     pool: SearchStatePool | None = None,
-    record: bool = False,
 ):
     """Run the search kernel; returns ``(phase, eff, exitc, parent,
-    nxt, journal)`` — five numpy state arrays bit-identical to the
-    scalar spec loop plus the replay journal (None unless ``record``
-    and the bucket engine ran) — or None when the graph's ASNs don't
-    pack (caller falls back).
+    nxt)`` — five numpy state arrays bit-identical to the scalar spec
+    loop — or None when the graph's ASNs don't pack (caller falls
+    back).
 
     Dispatches on graph scale: below ``_VECTOR_GRAPH_MIN`` deferrable
     (non-intra) edges the bucket/batch machinery costs more than it
@@ -703,14 +434,14 @@ def run_kernel(
     if PROFILE is None:
         if len(views.rest_lst) < _VECTOR_GRAPH_MIN:
             return _run_small(cg, atlas, config, providers, root, views, pool)
-        return _run_buckets(cg, atlas, config, providers, root, views, pool, record)
+        return _run_buckets(cg, atlas, config, providers, root, views, pool)
     from time import perf_counter
 
     t0 = perf_counter()
     if len(views.rest_lst) < _VECTOR_GRAPH_MIN:
         out = _run_small(cg, atlas, config, providers, root, views, pool)
     else:
-        out = _run_buckets(cg, atlas, config, providers, root, views, pool, record)
+        out = _run_buckets(cg, atlas, config, providers, root, views, pool)
     PROFILE["search_s"] = PROFILE.get("search_s", 0.0) + perf_counter() - t0
     return out
 
@@ -887,7 +618,7 @@ def _run_small(
     out[2][:] = exitc
     out[3][:] = parent
     out[4][:] = nxt
-    return out[0], out[1], out[2], out[3], out[4], None
+    return out
 
 
 def _run_buckets(
@@ -898,177 +629,29 @@ def _run_buckets(
     root: int,
     views: KernelViews,
     pool: SearchStatePool | None = None,
-    record: bool = False,
 ):
-    """A fresh cold search through the phase-major bucket engine."""
+    """A cold search through the phase-major bucket queue with
+    vectorized frontier flushes over flat array state (see the module
+    docstring for the equivalence argument). Pending entries live in
+    per-key buckets (column chunks + scalar staging) under a heap of
+    bucket keys."""
     n = cg.n_nodes
     phase, eff, exitc, parent, nxt = _acquire_state(pool, n, reset=True)
     fin = (
         pool.fin_scratch(n) if pool is not None else np.zeros(n, dtype=bool)
     )
     contest: list = [None] * n
-    rec = _JournalRecorder() if record else None
     phase[root] = 1
-    if rec is not None:
-        rec.add_row(root, 1, 0, 0.0, -1, -1, 0, True)
     buckets: dict = {}
     bucket_sc: dict = {(1, 0): [(0.0, 0, root)]}
     bucket_keys: list = [(1, 0)]
-    state = (
-        phase, eff, exitc, parent, nxt, fin, contest,
-        buckets, bucket_sc, bucket_keys, 1,
-    )
-    return _bucket_engine(cg, atlas, config, providers, views, state, rec)
-
-
-def repair_kernel(
-    cg: CompiledGraph,
-    atlas,
-    config,
-    providers: frozenset | None,
-    states,
-    touched_eids,
-    pool: SearchStatePool | None = None,
-    record: bool = False,
-):
-    """Bounded re-relaxation repair of a journaled search after a
-    value-only patch (see the module docstring for the exactness
-    argument). ``states`` carries the pre-patch arrays + journal;
-    ``touched_eids`` the patch's relevant edge ids (changed latencies
-    and effective tuple-churn edges). Returns the same 6-tuple as
-    :func:`run_kernel`, bit-for-bit equal to a cold re-search on the
-    patched graph, or None when repair doesn't apply (caller falls back
-    to the dirty re-search path). The caller owns recycling the old
-    state arrays afterwards."""
-    j = getattr(states, "journal", None)
-    if j is None or states.root_id is None:
-        return None
-    n = cg.n_nodes
-    old_phase = states.phase
-    if not isinstance(old_phase, np.ndarray) or len(old_phase) != n:
-        return None
-    views = kernel_views(cg, atlas, config.tuple_degree_threshold)
-    if not views.ok:
-        return None
-    eids = np.asarray(touched_eids, dtype=np.int64)
-    if eids.size == 0:
-        return None
-    u = views.e_dst[eids]
-    pu = old_phase[u]
-    reached = pu > 0
-    if not reached.any():
-        return None
-    ur = u[reached]
-    k0 = int(
-        ((old_phase[ur] << _K2_SHIFT) | states.eff[ur]).min()
-    )
-    bk_key = (j.bk_p << _K2_SHIFT) | j.bk_h
-    i = int(np.searchsorted(bk_key, k0))
-    if i >= len(bk_key) or int(bk_key[i]) != k0:
-        return None
-    count0 = int(j.bk_count[i])
-    rows0 = int(j.bk_rows[i])
-    crows0 = int(j.bk_crows[i])
-
-    # Seed the array state at the K0 watermark: nodes finalized strictly
-    # before K0 keep their (identical-by-theorem) final states; every
-    # other node takes its last journaled improvement before the
-    # watermark, or stays unreached.
-    phase, eff, exitc, parent, nxt = _acquire_state(pool, n, reset=True)
-    okey = (old_phase << _K2_SHIFT) | states.eff
-    fin = (old_phase > 0) & (okey < k0)
-    fidx = np.flatnonzero(fin)
-    phase[fidx] = old_phase[fidx]
-    eff[fidx] = states.eff[fidx]
-    exitc[fidx] = states.exitc[fidx]
-    parent[fidx] = states.parent[fidx]
-    nxt[fidx] = states.nxt[fidx]
-    vrows = j.v[:rows0]
-    live_rows = np.flatnonzero(~fin[vrows])
-    if live_rows.size:
-        vv = vrows[live_rows]
-        uq, first_rev = np.unique(vv[::-1], return_index=True)
-        last_rows = live_rows[live_rows.size - 1 - first_rev]
-        phase[uq] = j.p[last_rows]
-        eff[uq] = j.h[last_rows]
-        exitc[uq] = j.x[last_rows]
-        parent[uq] = j.ei[last_rows]
-        nxt[uq] = j.b[last_rows]
-
-    contest: list = [None] * n
-    if config.use_preferences and crows0:
-        cv = j.cv[:crows0]
-        keep = np.flatnonzero(~fin[cv])
-        if keep.size:
-            cvl = cv[keep].tolist()
-            ceil_ = j.cei[keep].tolist()
-            cxl = j.cx[keep].tolist()
-            crl = j.creset[keep].tolist()
-            for t in range(len(cvl)):
-                vtx = cvl[t]
-                if crl[t] or contest[vtx] is None:
-                    contest[vtx] = [(ceil_[t], cxl[t])]
-                else:
-                    contest[vtx].append((ceil_[t], cxl[t]))
-
-    # Rebuild the pending buckets at the watermark from the journal's
-    # pushed rows with key >= K0 (stale entries included — the cold run
-    # pops and skips them identically).
-    rowkey = (j.p[:rows0] << _K2_SHIFT) | j.h[:rows0]
-    psel = np.flatnonzero(j.pushed[:rows0] & (rowkey >= k0))
-    buckets: dict = {}
-    bucket_keys: list = []
-    if psel.size:
-        pk = rowkey[psel]
-        po = np.argsort(pk, kind="stable")
-        pks = pk[po]
-        kheads = np.concatenate(
-            ([0], np.flatnonzero(pks[1:] != pks[:-1]) + 1)
-        )
-        bounds = np.append(kheads, len(pks))
-        for t in range(len(kheads)):
-            seg = psel[po[kheads[t]:bounds[t + 1]]]
-            kv = int(pks[kheads[t]])
-            key = (kv >> _K2_SHIFT, kv & _K2_MASK)
-            buckets[key] = [(j.x[seg], j.c[seg], j.v[seg])]
-            bucket_keys.append(key)
-        heapq.heapify(bucket_keys)
-
-    rec = None
-    if record:
-        rec = _JournalRecorder()
-        rec.seed(j, rows0, crows0, i)
-    state = (
-        phase, eff, exitc, parent, nxt, fin, contest,
-        buckets, {}, bucket_keys, count0,
-    )
-    return _bucket_engine(cg, atlas, config, providers, views, state, rec)
-
-
-def _bucket_engine(
-    cg: CompiledGraph,
-    atlas,
-    config,
-    providers: frozenset | None,
-    views: KernelViews,
-    state: tuple,
-    rec: _JournalRecorder | None,
-):
-    """The phase-major bucket queue with vectorized frontier flushes
-    over flat array state (see the module docstring for the equivalence
-    argument). ``state`` carries the (possibly mid-search, for repair
-    replay) engine state: the five state arrays, finalized flags,
-    contest lists, pending buckets (column chunks + scalar staging),
-    the bucket-key heap and the entry counter."""
-    (phase, eff, exitc, parent, nxt, fin, contest,
-     buckets, bucket_sc, bucket_keys, count) = state
+    count = 1
     use_tuples = config.use_three_tuples
     use_prefs = config.use_preferences
     thresh = config.tuple_degree_threshold
     tuples = atlas.three_tuples
     dget = atlas.as_degrees.get
     prefs = atlas.preferences
-    record = rec is not None
     # scalar-path locals (python lists)
     e_src = cg.e_src
     e_dst = cg.e_dst
@@ -1150,8 +733,6 @@ def _bucket_engine(
                 if use_prefs:
                     if needs_reeval[v]:
                         contest[v].append((ei, nx))
-                        if record:
-                            rec.add_crow(v, ei, nx, False)
                     pi = parent[v]
                     if pi >= 0:
                         pd = e_da[pi]
@@ -1171,15 +752,11 @@ def _bucket_engine(
                     continue
             elif use_prefs and needs_reeval[v]:
                 contest[v] = [(ei, nx)]
-                if record:
-                    rec.add_crow(v, ei, nx, True)
             phase[v] = np_
             eff[v] = ne
             exitc[v] = nx
             parent[v] = ei
             nxt[v] = b
-            if record:
-                rec.add_row(v, np_, ne, nx, ei, b, c - 1, True)
             push_entry(np_, ne, nx, c - 1, v)
 
     def fold_group(rows, v_l, ei_l, p_l, h_l, x_l, a_l, b_l, c_l):
@@ -1187,8 +764,6 @@ def _bucket_engine(
         rows in generation order; pushes the minimal improving entry."""
         vtx = v_l[rows[0]]
         best_entry = None
-        best_row = -1
-        jrows = [] if record else None
         for j in rows:
             cpj = p_l[j]
             chj = h_l[j]
@@ -1207,8 +782,6 @@ def _bucket_engine(
                     if use_prefs:
                         if needs_reeval[vtx]:
                             contest[vtx].append((ei_l[j], cxj))
-                            if record:
-                                rec.add_crow(vtx, ei_l[j], cxj, False)
                         pi = parent[vtx]
                         if pi >= 0:
                             pd = e_da[pi]
@@ -1228,25 +801,16 @@ def _bucket_engine(
                         continue
             if not tie and use_prefs and needs_reeval[vtx]:
                 contest[vtx] = [(ei_l[j], cxj)]
-                if record:
-                    rec.add_crow(vtx, ei_l[j], cxj, True)
             phase[vtx] = cpj
             eff[vtx] = chj
             exitc[vtx] = cxj
             parent[vtx] = ei_l[j]
             nxt[vtx] = b_l[j]
-            if record:
-                jrows.append((vtx, cpj, chj, cxj, ei_l[j], b_l[j], c_l[j]))
             entry = (cpj, chj, cxj, c_l[j])
             if best_entry is None or entry < best_entry:
                 best_entry = entry
-                if record:
-                    best_row = len(jrows) - 1
         if best_entry is not None:
             push_entry(*best_entry, vtx)
-        if record:
-            for t, r in enumerate(jrows):
-                rec.add_row(*r, t == best_row)
 
     def flush(s):
         """Batch-relax all deferred (non-intra) edges of a finished
@@ -1362,8 +926,6 @@ def _bucket_engine(
             exitc[w_v] = w_x
             parent[w_v] = w_ei
             nxt[w_v] = w_b
-            if record:
-                rec.add_rows(w_v, w_p, w_h, w_x, w_ei, w_b, w_c)
             if use_prefs:
                 m = needs_reeval_np[w_v]
                 if m.any():
@@ -1372,8 +934,6 @@ def _bucket_engine(
                     rx = w_x[m].tolist()
                     for t in range(len(rv)):
                         contest[rv[t]] = [(rei[t], rx[t])]
-                    if record:
-                        rec.add_crows(w_v[m], w_ei[m], w_x[m])
             nw = len(w_v)
             if nw < _CHUNK_MIN:
                 w_p_l = w_p.tolist()
@@ -1458,8 +1018,6 @@ def _bucket_engine(
                     if use_prefs:
                         if needs_reeval[v]:
                             contest[v].append((ei, nx))
-                            if record:
-                                rec.add_crow(v, ei, nx, False)
                         # intra edges never cross: the candidate next
                         # hop is the inherited next ASN
                         aa = e_sa[ei]
@@ -1482,15 +1040,11 @@ def _bucket_engine(
                         continue
                 elif use_prefs and needs_reeval[v]:
                     contest[v] = [(ei, nx)]
-                    if record:
-                        rec.add_crow(v, ei, nx, True)
                 phase[v] = sp
                 eff[v] = se
                 exitc[v] = nx
                 parent[v] = ei
                 nxt[v] = sn
-                if record:
-                    rec.add_row(v, sp, se, nx, ei, sn, count, True)
                 heappush(local_heap, (nx, count, v))
                 count += 1
 
@@ -1504,8 +1058,6 @@ def _bucket_engine(
             live = [e for e in sc if not fin[e[2]]]
             if not live:
                 continue
-            if record:
-                rec.add_bucket(int(key[0]), int(key[1]), count)
             if node_has_intra[[e[2] for e in live]].any():
                 # a sorted list already satisfies the heap invariant
                 settle_serial(live)
@@ -1544,8 +1096,6 @@ def _bucket_engine(
                 continue
             live_first.sort()
             live_v = v_ord[live_first]
-            if record:
-                rec.add_bucket(int(key[0]), int(key[1]), count)
             if node_has_intra[live_v].any():
                 x_l = x_b[order].tolist()
                 c_l = c_b[order].tolist()
@@ -1574,5 +1124,4 @@ def _bucket_engine(
             )
             settled_batch = []
 
-    journal = rec.finalize() if record else None
-    return phase, eff, exitc, parent, nxt, journal
+    return phase, eff, exitc, parent, nxt

@@ -19,7 +19,7 @@ socket:
   pushes, and from then on answers every query locally from its own
   compiled core. Daily ``DELTA_PUSH`` frames (the ``INDB`` broadcast
   codec) are applied through ``runtime.apply_delta`` — the same
-  in-place CSR patch + warm-start repair a co-located consumer runs —
+  in-place CSR patch + prewarm a co-located consumer runs —
   so a bootstrapped remote client stays bit-for-bit identical to a
   client sitting next to the server, across daily deltas and monthly
   recompiles alike.
@@ -55,7 +55,7 @@ exact upstream bytes downstream.
 Constructing with ``stats=True`` negotiates the ``FLAG_STATS``
 capability: the gateway trails every successful delegate-mode query
 reply with a typed STATS frame (backend wall time, the search-kernel
-counter deltas the request caused, and the repair-class counts of the
+counter deltas the request caused, and the search-cache counts of the
 last applied day); the latest decoded frame is kept on
 ``client.last_stats``.
 

@@ -249,7 +249,7 @@ class _RuntimeBackend:
 
     #: accepts a trace context as a fourth call argument and records a
     #: ``kernel.search`` span (kernel-counter deltas, cache-hit vs
-    #: cold split, repair class) through the gateway-assigned tracer —
+    #: cold split) through the gateway-assigned tracer —
     #: the kernel lives in this very process, so the span is exact
     supports_trace = True
     tracer = None  # set by the gateway
@@ -278,11 +278,6 @@ class _RuntimeBackend:
         result = fn()
         k1 = pool.kernel_stats()
         searches = k1["searches"] - k0["searches"]
-        repair = max(
-            (k for k in ("reused", "repaired", "replayed", "dirty")),
-            key=lambda k: pool.last_repair.get(k, 0),
-            default="none",
-        )
         self.tracer.record(
             trace,
             "kernel.search",
@@ -291,7 +286,6 @@ class _RuntimeBackend:
             searches=searches,
             hits=k1["hits"] - k0["hits"],
             cache="cold" if searches else "hit",
-            repair=repair if pool.last_repair.get(repair, 0) else "none",
         )
         return result
 
@@ -359,7 +353,7 @@ class _RuntimeBackend:
 
     def kernel_sample(self):
         """A snapshot of the shared pool's kernel counters plus the
-        repair-class counts of the last applied delta; the gateway
+        search-cache counts of the last applied delta; the gateway
         differences two snapshots to attribute kernel work per request.
         Runs on the bridge thread, like every backend call."""
         pool = self._runtime.pool
@@ -1070,7 +1064,7 @@ class NetworkGateway:
         stats)``. ``stats`` is None unless the connection negotiated
         ``FLAG_STATS``; then it holds the request's wall time plus —
         when the backend exposes :meth:`kernel_sample` counters — the
-        search-kernel deltas this request caused and the repair-class
+        search-kernel deltas this request caused and the search-cache
         counts of the last applied day. Sampling happens on the bridge
         thread around the call itself, so the counters (which are not
         thread-safe) see exactly one reader and the deltas attribute

@@ -38,7 +38,7 @@ and the blocking client build on it):
 * ``SUBSCRIBE`` / ``DELTA_PUSH`` — daily updates: a push payload is the
   ``INDB`` broadcast codec (:func:`repro.atlas.serialization.encode_delta`),
   exactly the bytes the sharded service fans to its workers, applied
-  client-side through the same in-place patch + warm-start path.
+  client-side through the same in-place patch + prewarm path.
 * ``SUB_DROPPED`` — server-initiated notice (id 0) that the gateway
   unsubscribed this connection because its send queue exceeded the
   per-subscriber budget (it stopped reading pushes); the payload
@@ -50,9 +50,11 @@ and the blocking client build on it):
   every successful PREDICT / PREDICT_BATCH / QUERY_INFO reply (same
   ``request_id``) carrying the backend wall time, the search-kernel
   counter deltas the request caused (cold searches, cache hits, kernel
-  microseconds), and the repair-class counts of the backend's last
-  applied delta (reused / repaired / replayed / dirty) — the first
-  metrics hook an autoscaler needs, behind the capability bit.
+  microseconds), and the search-cache counts of the backend's last
+  applied delta (reused / repaired / replayed / dirty; every stale
+  search is dirty, so the first three always read 0 and stay only to
+  keep the layout fixed) — the first metrics hook an autoscaler needs,
+  behind the capability bit.
 * ``RETRY`` — a typed shed reply (same ``request_id`` as the refused
   query) from the gateway's admission layer: the client exceeded its
   token-bucket rate or the node's queue depth crossed the shed
@@ -768,7 +770,9 @@ def decode_trace_dump(payload: bytes) -> list[dict]:
 #: elapsed_us, searches, cache_hits, search_us, reused, repaired,
 #: replayed, dirty, push_encode_us, push_enqueue_us, push_drain_us,
 #: queue_depth, inflight, req_p50_us, req_p99_us — fixed layout so the
-#: frame stays cheap to emit on every request. The three ``push_*``
+#: frame stays cheap to emit on every request. ``reused``, ``repaired``
+#: and ``replayed`` always read 0 (every stale search is ``dirty``);
+#: they keep their slots so the layout never changes. The three ``push_*``
 #: floats mirror the gateway's last delta broadcast (encode once /
 #: enqueue fan-out / slowest subscriber drain), zero until the gateway
 #: has pushed a delta. The final four are the load telemetry an

@@ -15,8 +15,7 @@ layer records :class:`Span`\\ s against it:
   pinned vs promoted-replica;
 * ``shard.batch`` — the worker's batch handling;
 * ``kernel.search`` — the search kernel itself, tagged with the
-  cache-hit / cold-search split, kernel microseconds and the repair
-  class of the last applied delta.
+  cache-hit / cold-search split and kernel microseconds.
 
 Spans are plain picklable objects (workers return them over the stats
 pipe), collected per-trace in a bounded LRU

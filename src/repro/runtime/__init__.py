@@ -4,19 +4,14 @@
 query layer: an :class:`AtlasRuntime` owns one compiled query core per
 atlas lineage, applies daily deltas to the CSR arrays **in place**
 (bit-for-bit equal to a full recompile), incrementally merges client
-FROM_SRC planes onto the shared base, carries cached per-destination
-searches across patches (warm-start repair + pool prewarming, see
-:mod:`repro.runtime.warmstart`), and hands out predictors through a
-:class:`PredictorPool` so server, remote agents and co-located clients
-share compiled graphs and search caches instead of each rebuilding
-their own.
+FROM_SRC planes onto the shared base, re-runs the hottest cached
+per-destination searches against each new graph version (pool
+prewarming), and hands out predictors through a :class:`PredictorPool`
+so server, remote agents and co-located clients share compiled graphs
+and search caches instead of each rebuilding their own.
 """
 
-from repro.runtime.patch import (
-    CompiledGraphPatcher,
-    PatchConsistencyError,
-    PatchTouch,
-)
+from repro.runtime.patch import CompiledGraphPatcher, PatchConsistencyError
 from repro.runtime.pool import PredictorPool
 from repro.runtime.runtime import AtlasRuntime, RuntimeUpdateReport
 
@@ -24,7 +19,6 @@ __all__ = [
     "AtlasRuntime",
     "CompiledGraphPatcher",
     "PatchConsistencyError",
-    "PatchTouch",
     "PredictorPool",
     "RuntimeUpdateReport",
 ]

@@ -26,16 +26,12 @@ The patch exploits the compiled emission-order contract:
   floats inside existing spans; node ids, edge ids and both CSR
   indexes are untouched.
 * **Structural days** splice the edge arrays from large copied runs
-  plus freshly classified edges for added links, then repair the CSR
-  indexes *locally*: surviving entries are shifted by a vectorized
-  old-to-new edge-id map (monotonic, so per-node ordering is
-  preserved), deleted entries are compacted out, and added edges are
-  inserted into just their endpoint nodes' lists.
-* Node interning is append-only in the common case. When an edit
-  changes the first-appearance order of nodes (or orphans one), the
-  patcher detects it with a vectorized first-appearance scan and
-  renumbers — rebuilding both CSR indexes with a stable argsort (the
-  vectorized equivalent of the compiler's counting sort) for that day.
+  plus freshly classified edges for added links (new nodes intern at
+  the tail), then rebuild both CSR indexes with the vectorized
+  equivalent of the compiler's counting sort (``csr_numpy``). When an
+  edit changes the first-appearance order of nodes (or orphans one) —
+  on real days it always does — a vectorized first-appearance scan
+  detects it and the nodes renumber before the rebuild.
 
 Monthly refreshes replace the relationship/clustering datasets that
 edge classification depends on, so the runtime recompiles on those
@@ -51,8 +47,6 @@ runtime falls back to a full recompile for that day.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,65 +96,6 @@ def shared_delta_context(atlas, delta: AtlasDelta, asn_of) -> DeltaContext:
         pair = changed.get(link)
         changed[link] = (pair[0] if pair else None, loss)
     return DeltaContext(new_main, new_selfe, changed)
-
-
-@dataclass
-class PatchTouch:
-    """The touched-edge summary one patch exports for warm-start repair.
-
-    Everything the cache-repair layer (:mod:`repro.runtime.warmstart`)
-    needs to decide, per cached per-destination search, whether the
-    patch could have changed its outcome:
-
-    * ``lat_changed`` / ``loss_changed`` — **new** edge ids whose
-      latency/loss floats were rewritten, with the per-edge old/new
-      values alongside (``lat_old``/``lat_new``, ``loss_old``/
-      ``loss_new``) so the repair layer can drop no-op rewrites and
-      seed bounded re-relaxation from the genuinely changed edges;
-    * ``added`` — new edge ids that did not exist before the patch;
-    * ``removed_*`` — the deleted edges' endpoints and op/phase, in the
-      **old** node numbering (which the no-renumber splice preserves);
-    * ``old2new`` — monotonic old-edge-id -> new-edge-id map (``-1``
-      for deleted), None for value-only patches (identity);
-    * ``renumbered`` — node ids changed (first-appearance shift): every
-      cached search against the old version is unrepairable.
-    """
-
-    renumbered: bool = False
-    lat_changed: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64), repr=False
-    )
-    lat_old: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.float64), repr=False
-    )
-    lat_new: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.float64), repr=False
-    )
-    loss_changed: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64), repr=False
-    )
-    loss_old: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.float64), repr=False
-    )
-    loss_new: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.float64), repr=False
-    )
-    added: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64), repr=False
-    )
-    removed_src: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64), repr=False
-    )
-    removed_dst: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64), repr=False
-    )
-    removed_op: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64), repr=False
-    )
-    removed_ph: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64), repr=False
-    )
-    old2new: np.ndarray | None = field(default=None, repr=False)
 
 
 class PatchConsistencyError(RuntimeError):
@@ -275,8 +210,8 @@ class CompiledGraphPatcher:
         Call after ``apply_delta_inplace`` has mutated ``cg.atlas``.
         ``context`` (see :func:`shared_delta_context`) carries the
         per-delta work both base graphs share, so the runtime computes
-        it once. Returns a stats dict (structural/value counts, CSR
-        repair mode).
+        it once. Returns a stats dict (patch mode, rewritten value
+        spans, CSR mode: ``kept`` or ``rebuilt``).
         """
         if delta.monthly_refresh:
             raise PatchConsistencyError(
@@ -312,7 +247,7 @@ class CompiledGraphPatcher:
             or any(l not in self._main_pos for l in delta.links_updated)
         )
         if not structural:
-            n_values, touched = self._patch_values(changed)
+            n_values = self._patch_values(changed)
             cached_views = cg._kernel_views
             cg.touch()
             if cached_views is not None:
@@ -321,12 +256,7 @@ class CompiledGraphPatcher:
                 from repro.core.search import refresh_views_after_values
 
                 refresh_views_after_values(cg, cached_views)
-            return {
-                "mode": "values",
-                "value_spans": n_values,
-                "csr": "kept",
-                "touch": touched,
-            }
+            return {"mode": "values", "value_spans": n_values, "csr": "kept"}
         stats = self._patch_structural(
             delta, new_main, new_synth, new_selfe, changed
         )
@@ -370,30 +300,27 @@ class CompiledGraphPatcher:
         return starts + (np.arange(total, dtype=np.int64) - group)
 
     @classmethod
-    def _write_spans(cls, target: list, offs, counts, values) -> tuple:
+    def _write_spans(cls, target: list, offs, counts, values) -> list:
         """Scatter per-span values into ``target`` via a numpy mirror.
 
         ``offs``/``counts``/``values`` are aligned arrays (span start,
-        span length, value). Returns ``(new list, touched edge ids,
-        old values, new values)`` — the value arrays aligned with the
-        ids.
+        span length, value). Returns the new list.
         """
         idx = cls._span_ids(offs, counts)
         if len(idx) == 0:
-            empty = np.empty(0, dtype=np.float64)
-            return target, idx, empty, empty
-        counts = np.asarray(counts, dtype=np.int64)
+            return target
         mirror = np.array(target, dtype=np.float64)
-        old = mirror[idx]
-        new = np.repeat(np.asarray(values, dtype=np.float64), counts)
-        mirror[idx] = new
-        return mirror.tolist(), idx, old, new
+        mirror[idx] = np.repeat(
+            np.asarray(values, dtype=np.float64),
+            np.asarray(counts, dtype=np.int64),
+        )
+        return mirror.tolist()
 
-    def _patch_values(self, changed: dict) -> tuple[int, PatchTouch]:
-        """Rewrite latency/loss floats inside existing spans; no CSR work."""
-        touch = PatchTouch()
+    def _patch_values(self, changed: dict) -> int:
+        """Rewrite latency/loss floats inside existing spans; no CSR
+        work. Returns the number of rewritten spans."""
         if not changed:
-            return 0, touch
+            return 0
         cg = self.cg
         lat_pos, lat_val, loss_pos, loss_val = self._collect_main_values(
             changed, skip=None
@@ -401,41 +328,23 @@ class CompiledGraphPatcher:
         starts = self._starts_main
         nedges = self._nedges_main
         touched = 0
-        lat_ids = [touch.lat_changed]
-        lat_olds = [touch.lat_old]
-        lat_news = [touch.lat_new]
-        loss_ids = [touch.loss_changed]
-        loss_olds = [touch.loss_old]
-        loss_news = [touch.loss_new]
         if lat_pos:
             pos = np.array(lat_pos, dtype=np.int64)
-            cg.e_lat, ids, old, new = self._write_spans(
+            cg.e_lat = self._write_spans(
                 cg.e_lat, starts[pos], nedges[pos], lat_val
             )
-            lat_ids.append(ids)
-            lat_olds.append(old)
-            lat_news.append(new)
             touched += len(lat_pos)
         if loss_pos:
             pos = np.array(loss_pos, dtype=np.int64)
-            cg.e_loss, ids, old, new = self._write_spans(
+            cg.e_loss = self._write_spans(
                 cg.e_loss, starts[pos], nedges[pos], loss_val
             )
-            loss_ids.append(ids)
-            loss_olds.append(old)
-            loss_news.append(new)
             touched += len(loss_pos)
         # Synth spans (closed graphs): small section, scalar writes.
         if self._synth:
             changed_get = changed.get
             e_lat = cg.e_lat
             e_loss = cg.e_loss
-            synth_lat: list[int] = []
-            synth_lat_old: list[float] = []
-            synth_lat_new: list[float] = []
-            synth_loss: list[int] = []
-            synth_loss_old: list[float] = []
-            synth_loss_new: list[float] = []
             off = int(starts[-1])
             for link, n in zip(self._synth, self._nedges_synth):
                 if n:
@@ -444,32 +353,12 @@ class CompiledGraphPatcher:
                         lat, loss = pair
                         for k in range(off, off + n):
                             if lat is not None:
-                                synth_lat.append(k)
-                                synth_lat_old.append(e_lat[k])
-                                synth_lat_new.append(lat)
                                 e_lat[k] = lat
                             if loss is not None:
-                                synth_loss.append(k)
-                                synth_loss_old.append(e_loss[k])
-                                synth_loss_new.append(loss)
                                 e_loss[k] = loss
                         touched += 1
                 off += n
-            if synth_lat:
-                lat_ids.append(np.array(synth_lat, dtype=np.int64))
-                lat_olds.append(np.array(synth_lat_old, dtype=np.float64))
-                lat_news.append(np.array(synth_lat_new, dtype=np.float64))
-            if synth_loss:
-                loss_ids.append(np.array(synth_loss, dtype=np.int64))
-                loss_olds.append(np.array(synth_loss_old, dtype=np.float64))
-                loss_news.append(np.array(synth_loss_new, dtype=np.float64))
-        touch.lat_changed = np.concatenate(lat_ids)
-        touch.lat_old = np.concatenate(lat_olds)
-        touch.lat_new = np.concatenate(lat_news)
-        touch.loss_changed = np.concatenate(loss_ids)
-        touch.loss_old = np.concatenate(loss_olds)
-        touch.loss_new = np.concatenate(loss_news)
-        return touched, touch
+        return touched
 
     # -- structural splice ---------------------------------------------------
 
@@ -498,9 +387,8 @@ class CompiledGraphPatcher:
             cg.e_phase,
         )
         staged = tuple([] for _ in range(9))
-        copy_runs: list[tuple[int, int, int]] = []  # (old_lo, old_hi, new_lo)
-        removed_spans: list[tuple[int, int]] = []  # (old_lo, old_hi)
-        added_edges: list[tuple[int, int, int]] = []  # (new_id, src, dst)
+        # (new offset, span length, latency, loss) per changed survivor
+        # of the synth section, written once the arrays are final
         value_writes: list[tuple[int, int, float | None, float | None]] = []
 
         s_src, s_dst = staged[0], staged[1]
@@ -517,7 +405,6 @@ class CompiledGraphPatcher:
             for side_i, side_j, kind in specs:
                 src = intern(TO_DST, side_i, ci, as_i)
                 dst = intern(TO_DST, side_j, cj, as_j)
-                added_edges.append((len(s_src), src, dst))
                 s_src.append(src)
                 s_dst.append(dst)
                 staged[2].append(int(kind))
@@ -561,26 +448,14 @@ class CompiledGraphPatcher:
                         f"survivor {link!r} misaligned in main section"
                     )
 
-        new_off = 0
         prev = 0
-        for pos in removed_pos.tolist():
+        for pos in removed_pos.tolist() + [n_old]:
             lo = int(starts[prev])
             hi = int(starts[pos])
             if hi > lo:
-                copy_runs.append((lo, hi, new_off))
                 for old_list, new_list in zip(old_arrays, staged):
                     new_list.extend(old_list[lo:hi])
-                new_off += hi - lo
-            span_hi = int(starts[pos + 1])
-            if span_hi > hi:
-                removed_spans.append((hi, span_hi))
             prev = pos + 1
-        lo = int(starts[prev])
-        hi = int(starts[-1])
-        if hi > lo:
-            copy_runs.append((lo, hi, new_off))
-            for old_list, new_list in zip(old_arrays, staged):
-                new_list.extend(old_list[lo:hi])
 
         added_nedges = [
             emit(link, links[link].latency_ms, loss_map.get(link, 0.0))
@@ -622,7 +497,6 @@ class CompiledGraphPatcher:
                 return
             run_hi = state["old_off"]
             if run_hi > run_lo:
-                copy_runs.append((run_lo, run_hi, state["run_new_lo"]))
                 for old_list, new_list in zip(old_arrays, staged):
                     new_list.extend(old_list[run_lo:run_hi])
             state["run_lo"] = None
@@ -643,12 +517,7 @@ class CompiledGraphPatcher:
             for link in new_list:
                 while i < section_n_old and old_list[i] in removed:
                     close_run()
-                    n = old_nedges[i]
-                    if n:
-                        removed_spans.append(
-                            (state["old_off"], state["old_off"] + n)
-                        )
-                    state["old_off"] += n
+                    state["old_off"] += old_nedges[i]
                     i += 1
                 if i < section_n_old and old_list[i] == link:
                     n = old_nedges[i]
@@ -684,12 +553,7 @@ class CompiledGraphPatcher:
                         f"trailing survivor {old_list[i]!r} unmatched"
                     )
                 close_run()
-                n = old_nedges[i]
-                if n:
-                    removed_spans.append(
-                        (state["old_off"], state["old_off"] + n)
-                    )
-                state["old_off"] += n
+                state["old_off"] += old_nedges[i]
                 i += 1
             return new_nedges
 
@@ -710,7 +574,6 @@ class CompiledGraphPatcher:
             asn = self._asn_of(cluster)
             src = intern_self(TO_DST, UP, cluster, asn)
             dst = intern_self(TO_DST, DOWN, cluster, asn)
-            added_edges.append((len(s_src), src, dst))
             s_src.append(src)
             s_dst.append(dst)
             staged[2].append(_SELF_KIND)
@@ -735,9 +598,6 @@ class CompiledGraphPatcher:
             for cluster in new_selfe:
                 while i < n_old_self and self._selfe[i] in removed_self:
                     close_run()
-                    removed_spans.append(
-                        (state["old_off"], state["old_off"] + 1)
-                    )
                     state["old_off"] += 1
                     i += 1
                 if i < n_old_self and self._selfe[i] == cluster:
@@ -751,18 +611,12 @@ class CompiledGraphPatcher:
                     emit_self(cluster)
             while i < n_old_self:
                 close_run()
-                removed_spans.append((state["old_off"], state["old_off"] + 1))
                 state["old_off"] += 1
                 i += 1
             close_run()
         else:
             close_run()
-            n_old_self = len(self._selfe)
-            if n_old_self:
-                removed_spans.append(
-                    (state["old_off"], state["old_off"] + n_old_self)
-                )
-                state["old_off"] += n_old_self
+            state["old_off"] += len(self._selfe)
             for cluster in new_selfe:
                 emit_self(cluster)
 
@@ -786,89 +640,22 @@ class CompiledGraphPatcher:
 
         # Apply the deferred value writes: vectorized for the main
         # section, scalar for the (small) synth spans.
-        empty_f = np.empty(0, dtype=np.float64)
-        lat_ids = [np.empty(0, dtype=np.int64)]
-        lat_olds = [empty_f]
-        lat_news = [empty_f]
-        loss_ids = [np.empty(0, dtype=np.int64)]
-        loss_olds = [empty_f]
-        loss_news = [empty_f]
         if lat_pos:
             offs, counts = _main_offsets(lat_pos)
-            cg.e_lat, ids, old, new = self._write_spans(
-                cg.e_lat, offs, counts, lat_val
-            )
-            lat_ids.append(ids)
-            lat_olds.append(old)
-            lat_news.append(new)
+            cg.e_lat = self._write_spans(cg.e_lat, offs, counts, lat_val)
         if loss_pos:
             offs, counts = _main_offsets(loss_pos)
-            cg.e_loss, ids, old, new = self._write_spans(
-                cg.e_loss, offs, counts, loss_val
-            )
-            loss_ids.append(ids)
-            loss_olds.append(old)
-            loss_news.append(new)
+            cg.e_loss = self._write_spans(cg.e_loss, offs, counts, loss_val)
         e_lat = cg.e_lat
         e_loss = cg.e_loss
-        synth_lat: list[int] = []
-        synth_lat_old: list[float] = []
-        synth_lat_new: list[float] = []
-        synth_loss: list[int] = []
-        synth_loss_old: list[float] = []
-        synth_loss_new: list[float] = []
         for off, n, lat, loss in value_writes:
             for k in range(off, off + n):
                 if lat is not None:
-                    synth_lat.append(k)
-                    synth_lat_old.append(e_lat[k])
-                    synth_lat_new.append(lat)
                     e_lat[k] = lat
                 if loss is not None:
-                    synth_loss.append(k)
-                    synth_loss_old.append(e_loss[k])
-                    synth_loss_new.append(loss)
                     e_loss[k] = loss
-        if synth_lat:
-            lat_ids.append(np.array(synth_lat, dtype=np.int64))
-            lat_olds.append(np.array(synth_lat_old, dtype=np.float64))
-            lat_news.append(np.array(synth_lat_new, dtype=np.float64))
-        if synth_loss:
-            loss_ids.append(np.array(synth_loss, dtype=np.int64))
-            loss_olds.append(np.array(synth_loss_old, dtype=np.float64))
-            loss_news.append(np.array(synth_loss_new, dtype=np.float64))
 
-        csr_mode, old2new, removed_ids = self._repair_ids_and_csr(
-            old_arrays, copy_runs, removed_spans, added_edges
-        )
-        if csr_mode == "rebuilt":
-            touch = PatchTouch(renumbered=True)
-        else:
-            rem = removed_ids.tolist()
-            touch = PatchTouch(
-                lat_changed=np.concatenate(lat_ids),
-                lat_old=np.concatenate(lat_olds),
-                lat_new=np.concatenate(lat_news),
-                loss_changed=np.concatenate(loss_ids),
-                loss_old=np.concatenate(loss_olds),
-                loss_new=np.concatenate(loss_news),
-                added=np.array(
-                    [eid for eid, _, _ in added_edges], dtype=np.int64
-                ),
-                removed_src=np.fromiter(
-                    (old_arrays[0][i] for i in rem), np.int64, len(rem)
-                ),
-                removed_dst=np.fromiter(
-                    (old_arrays[1][i] for i in rem), np.int64, len(rem)
-                ),
-                removed_op=np.fromiter(
-                    (old_arrays[7][i] for i in rem), np.int64, len(rem)
-                ),
-                removed_ph=np.fromiter(
-                    (old_arrays[8][i] for i in rem), np.int64, len(rem)
-                ),
-                old2new=old2new,
-            )
+        self._renumber_and_rebuild_csr()
 
         self._main = new_main
         self._main_pos = dict(zip(new_main, range(len(new_main))))
@@ -879,25 +666,16 @@ class CompiledGraphPatcher:
         self._selfe = new_selfe
         return {
             "mode": "structural",
-            "copied_runs": len(copy_runs),
-            "removed_spans": len(removed_spans),
-            "added_edges": len(added_edges),
             "value_spans": len(lat_pos) + len(loss_pos) + len(value_writes),
-            "csr": csr_mode,
-            "touch": touch,
+            "csr": "rebuilt",
         }
 
-    # -- node numbering & CSR repair ----------------------------------------
+    # -- node numbering & CSR rebuild ---------------------------------------
 
-    def _repair_ids_and_csr(
-        self,
-        old_arrays: tuple,
-        copy_runs: list[tuple[int, int, int]],
-        removed_spans: list[tuple[int, int]],
-        added_edges: list[tuple[int, int, int]],
-    ) -> str:
+    def _renumber_and_rebuild_csr(self) -> None:
+        """Bring node ids and both CSR indexes in line with the spliced
+        edge arrays, exactly as the full compiler would number them."""
         cg = self.cg
-        n_edges = len(cg.e_src)
         e_src_np = np.array(cg.e_src, dtype=np.int64)
         e_dst_np = np.array(cg.e_dst, dtype=np.int64)
         n_nodes = len(cg.node_cluster)
@@ -906,7 +684,7 @@ class CompiledGraphPatcher:
         # emission order (src before dst per edge); splicing keeps old
         # ids and appends new nodes, which matches iff the appearance
         # order is still the identity.
-        combined = np.empty(2 * n_edges, dtype=np.int64)
+        combined = np.empty(2 * len(e_src_np), dtype=np.int64)
         combined[0::2] = e_src_np
         combined[1::2] = e_dst_np
         uniq, first = np.unique(combined, return_index=True)
@@ -916,43 +694,8 @@ class CompiledGraphPatcher:
         ):
             e_src_np, e_dst_np = self._renumber_nodes(order, e_src_np, e_dst_np)
             n_nodes = len(cg.node_cluster)
-            cg.rev_off, cg.rev_lst = csr_numpy(n_nodes, e_dst_np)
-            cg.fwd_off, cg.fwd_lst = csr_numpy(n_nodes, e_src_np)
-            return "rebuilt", None, np.empty(0, dtype=np.int64)
-
-        old_n_edges = len(old_arrays[0])
-        old2new = np.full(old_n_edges, -1, dtype=np.int64)
-        for lo, hi, new_lo in copy_runs:
-            old2new[lo:hi] = np.arange(new_lo, new_lo + (hi - lo), dtype=np.int64)
-        old_src_np = np.fromiter(old_arrays[0], np.int64, old_n_edges)
-        old_dst_np = np.fromiter(old_arrays[1], np.int64, old_n_edges)
-        removed_ids = (
-            np.concatenate(
-                [np.arange(lo, hi, dtype=np.int64) for lo, hi in removed_spans]
-            )
-            if removed_spans
-            else np.empty(0, dtype=np.int64)
-        )
-        old_n_nodes = len(cg.rev_off) - 1
-        cg.rev_off, cg.rev_lst = _patch_one_csr(
-            cg.rev_off,
-            cg.rev_lst,
-            old2new,
-            old_dst_np[removed_ids],
-            [(eid, dst) for eid, _, dst in added_edges],
-            old_n_nodes,
-            n_nodes,
-        )
-        cg.fwd_off, cg.fwd_lst = _patch_one_csr(
-            cg.fwd_off,
-            cg.fwd_lst,
-            old2new,
-            old_src_np[removed_ids],
-            [(eid, src) for eid, src, _ in added_edges],
-            old_n_nodes,
-            n_nodes,
-        )
-        return "patched", old2new, removed_ids
+        cg.rev_off, cg.rev_lst = csr_numpy(n_nodes, e_dst_np)
+        cg.fwd_off, cg.fwd_lst = csr_numpy(n_nodes, e_src_np)
 
     def _renumber_nodes(self, order, e_src_np, e_dst_np):
         """Renumber nodes to first-appearance order (drops orphans).
@@ -978,53 +721,3 @@ class CompiledGraphPatcher:
         packed = (cluster << 2) | (plane << 1) | side
         cg._id_of = dict(zip(packed.tolist(), range(len(order))))
         return e_src_np, e_dst_np
-
-
-def _patch_one_csr(
-    off: list[int],
-    lst: list[int],
-    old2new,
-    removed_buckets,
-    added: list[tuple[int, int]],
-    old_n_nodes: int,
-    new_n_nodes: int,
-) -> tuple[list[int], list[int]]:
-    """Localized repair of one CSR index after an edge-array splice.
-
-    Surviving entries keep their per-node order under the (monotonic)
-    ``old2new`` id map; deleted entries compact out; added edges insert
-    into just their bucket's slice. Offsets move by per-node count
-    deltas — nodes the delta never touched keep their lists verbatim
-    (modulo the id shift).
-    """
-    mapped = old2new[np.fromiter(lst, np.int64, len(lst))]
-    kept = mapped[mapped >= 0]
-    off_np = np.fromiter(off, np.int64, len(off))
-    if len(removed_buckets):
-        rem_counts = np.bincount(removed_buckets, minlength=old_n_nodes)
-        off_np = off_np - np.concatenate(
-            ([0], np.cumsum(rem_counts, dtype=np.int64))
-        )
-    if new_n_nodes > old_n_nodes:
-        off_np = np.concatenate(
-            (off_np, np.full(new_n_nodes - old_n_nodes, off_np[-1], np.int64))
-        )
-    if added:
-        inserts = []
-        for eid, bucket in added:
-            lo = off_np[bucket]
-            hi = off_np[bucket + 1]
-            pos = lo + np.searchsorted(kept[lo:hi], eid)
-            inserts.append((int(pos), eid))
-        inserts.sort()
-        kept = np.insert(
-            kept, [p for p, _ in inserts], [e for _, e in inserts]
-        )
-        add_counts = np.bincount(
-            [b for _, b in added], minlength=new_n_nodes
-        )
-        off_np = off_np + np.concatenate(
-            ([0], np.cumsum(add_counts, dtype=np.int64))
-        )
-    return off_np.tolist(), kept.tolist()
-

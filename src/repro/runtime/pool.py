@@ -15,12 +15,12 @@ predictor is resolved per ``(config, client)`` key against the owning
   patched under the predictor, the atlas mutated in place, and the
   bumped graph versions retire stale search-cache keys without any
   rebuild;
-* the update hook (:meth:`PredictorPool.after_update`) carries cached
-  per-destination searches *across* the version bump: entries the patch
-  provably could not affect migrate to the new version (warm-start
-  repair, :mod:`repro.runtime.warmstart`), and the hottest dirty
-  destinations re-run through the vectorized search kernel immediately
-  (pool prewarming), so the first post-delta query hits a warm cache.
+* the update hook (:meth:`PredictorPool.after_update`) retires every
+  cached per-destination search keyed on a pre-delta graph version
+  (each is *dirty*: no search is carried across a delta as-is) and
+  re-runs the hottest destinations through the search kernel
+  immediately (pool prewarming), so the first post-delta query hits a
+  warm cache.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.predictor import INanoPredictor, PredictorConfig
-from repro.runtime import warmstart
 
 
 @dataclass
@@ -63,11 +62,12 @@ class PredictorPool:
         self.hits = 0
         self.refreshes = 0
         #: hottest (most recently used) dirty destinations re-searched
-        #: per predictor per patched graph after each update; 0 disables
+        #: per predictor after each update; 0 disables
         self.prewarm_max = _PREWARM_MAX
-        #: repair-class counts of the most recent :meth:`after_update`
-        #: (what the serving layer reports per request as the backend's
-        #: current repair posture)
+        #: cache outcome of the most recent :meth:`after_update` (what
+        #: the serving layer reports per request). ``reused``,
+        #: ``repaired`` and ``replayed`` stay in the STATS wire layout
+        #: and always read 0: every stale search is ``dirty``
         self.last_repair = {
             "reused": 0,
             "repaired": 0,
@@ -121,10 +121,6 @@ class PredictorPool:
                     client_cluster_as=client_cluster_as,
                     primary_graph=primary,
                     fallback_factory=runtime.closed_graph,
-                    # pooled predictors ride the runtime's delta chain:
-                    # record replay journals so value-only days repair
-                    # touched cached searches in place
-                    record_journal=True,
                 ),
                 version=runtime.version,
                 rev=from_src_rev,
@@ -143,17 +139,17 @@ class PredictorPool:
             entry.rev = from_src_rev
         return entry.predictor
 
-    def after_update(self, updates: list[tuple], delta) -> dict:
-        """Carry pooled search caches across one applied delta.
+    def after_update(self, updates: list[tuple]) -> dict:
+        """Retire pooled search caches after one applied delta and
+        prewarm the hottest searches against the new graph versions.
 
-        ``updates`` holds ``(name, graph, old_version, new_version,
-        touch)`` per materialized base graph (``touch`` None when that
-        graph was recompiled). For every pooled predictor: migrate the
-        cached searches the patch provably could not affect
-        (reusable/repairable), then re-run the hottest dirty
-        destinations through the kernel so the first post-delta query
-        is a cache hit. Client-merged primary graphs re-derive lazily
-        and are not repaired; their shared closed fallback is.
+        ``updates`` holds ``(name, graph, old_version, new_version)``
+        per materialized base graph. For every pooled predictor, every
+        cached search keyed on a retired version counts as dirty; the
+        hottest destinations re-run through the kernel so the first
+        post-delta query is a cache hit. Client-merged primary graphs
+        re-derive lazily and are not prewarmed; their shared closed
+        fallback is.
         """
         stats = {
             "reused": 0,
@@ -162,42 +158,25 @@ class PredictorPool:
             "dirty": 0,
             "prewarmed": 0,
         }
-        if not self._entries:
-            self.last_repair = dict(stats)
-            return stats
-        churn_ctx: dict[str, tuple] = {}
         graphs_by_old_version = {
             old_version: graph
-            for _, graph, old_version, new_version, _ in updates
+            for _, graph, old_version, new_version in updates
             if old_version != new_version
         }
         name_of_version = {
             old_version: name
-            for name, _, old_version, new_version, _ in updates
+            for name, _, old_version, new_version in updates
             if old_version != new_version
         }
-        graph_of_name = {name: graph for name, graph, _, _, _ in updates}
+        graph_of_name = {name: graph for name, graph, _, _ in updates}
         for pool_key, entry in self._entries.items():
             predictor = entry.predictor
             self._record_warm(pool_key, predictor, name_of_version)
-            for name, graph, old_version, new_version, touch in updates:
-                if old_version == new_version:
-                    continue
-                if touch is not None and delta is not None:
-                    churn = churn_ctx.get(name)
-                    if churn is None:
-                        churn = warmstart.tuple_churn_edges(graph, delta)
-                        churn_ctx[name] = churn
-                else:
-                    churn = ()
-                repaired = warmstart.repair_cache(
-                    predictor, graph, old_version, new_version, touch, churn
-                )
-                for key in ("reused", "repaired", "replayed", "dirty"):
-                    stats[key] += repaired[key]
-            ran = warmstart.prewarm(
-                predictor, graphs_by_old_version, self.prewarm_max
+            stats["dirty"] += sum(
+                key[0] in graphs_by_old_version
+                for key in predictor._search_cache
             )
+            ran = prewarm(predictor, graphs_by_old_version, self.prewarm_max)
             ran += self._prewarm_from_records(
                 pool_key, predictor, graph_of_name, self.prewarm_max - ran
             )
@@ -223,7 +202,7 @@ class PredictorPool:
         """Publish the pool's counters into an obs
         :class:`~repro.obs.registry.MetricsRegistry` as ``prefix.*``
         gauges — the shard worker calls this on every stats export so
-        the fleet snapshot carries pool/kernel/repair state without a
+        the fleet snapshot carries pool/kernel/cache state without a
         second bookkeeping path."""
         registry.get_gauge(f"{prefix}.entries").set(len(self._entries))
         registry.get_gauge(f"{prefix}.hits").set(self.hits)
@@ -238,7 +217,7 @@ class PredictorPool:
         self, pool_key: tuple, predictor, name_of_version: dict
     ) -> None:
         """Note the entry's hot destinations on the graphs this update
-        touched, before repair/prewarm churn the LRU. Cache iteration is
+        touched, before prewarm churns the LRU. Cache iteration is
         oldest-first, so the hottest record lands last."""
         records = self._warm.setdefault(pool_key, OrderedDict())
         for version, dst, providers in predictor._search_cache:
@@ -275,11 +254,42 @@ class PredictorPool:
         """Drop every entry belonging to one client — including its
         warm-start records, so a released client's destinations stop
         drawing prewarm searches on every subsequent update — and free
-        each dropped predictor's search-state arrays, journals, and
-        pooled state bundles (the state-pool lifecycle contract: a
-        released client must not pin per-search memory)."""
+        each dropped predictor's search-state arrays and pooled state
+        bundles (the state-pool lifecycle contract: a released client
+        must not pin per-search memory)."""
         for key in [k for k in self._entries if k[1] == client_key]:
             entry = self._entries.pop(key)
             entry.predictor.release_search_state()
         for key in [k for k in self._warm if k[1] == client_key]:
             del self._warm[key]
+
+
+def prewarm(predictor, graphs_by_old_version: dict, limit: int) -> int:
+    """Re-run the hottest still-stale searches through the kernel so the
+    first post-delta query hits a warm cache; returns how many ran.
+
+    ``graphs_by_old_version`` maps each patched graph's pre-patch
+    version to the (now current) graph object. The budget is per
+    predictor across all its graphs: the LRU's recency order decides
+    which destinations count as hot, so a rarely-queried fallback plane
+    cannot starve the primary's hot set.
+    """
+    if not graphs_by_old_version:
+        return 0
+    cache = predictor._search_cache
+    stale = [key for key in cache if key[0] in graphs_by_old_version]
+    ran = 0
+    for key in reversed(stale):  # most recently used first
+        # every stale key leaves the LRU here: the hottest re-run warm,
+        # the rest are unreachable under their retired version and
+        # would only crowd live entries toward eviction; their state
+        # arrays recycle into the pool for the re-runs to reuse
+        evicted = cache.pop(key)
+        if hasattr(evicted, "recycle"):
+            evicted.recycle()
+        if ran < limit:
+            predictor.search_for(
+                graphs_by_old_version[key[0]], key[1], key[2]
+            )
+            ran += 1
+    return ran

@@ -53,8 +53,11 @@ class RuntimeUpdateReport:
     mode: str  # "patch" | "recompile"
     #: per-graph patch stats (graph name -> stats dict)
     graphs: dict[str, dict] = field(default_factory=dict)
-    #: pooled search-cache outcome: entries reused / repaired across
-    #: the patch, left dirty, and prewarmed (see repro.runtime.warmstart)
+    #: pooled search-cache outcome (see
+    #: :meth:`~repro.runtime.pool.PredictorPool.after_update`): stale
+    #: searches left ``dirty`` and hot ones ``prewarmed``; ``reused``,
+    #: ``repaired`` and ``replayed`` always read 0 (kept for readers of
+    #: the STATS wire layout)
     cache: dict[str, int] = field(default_factory=dict)
 
 
@@ -197,24 +200,22 @@ class AtlasRuntime:
                 try:
                     stats = self._patchers[name].apply(delta, context)
                     report.graphs[name] = stats
-                    updates.append(
-                        (name, cg, old_version, cg.version, stats.get("touch"))
-                    )
+                    updates.append((name, cg, old_version, cg.version))
                     continue
                 except PatchConsistencyError:
                     report.mode = "recompile"
             self._recompile(name, cg, closed)
             report.graphs[name] = {"mode": "recompile"}
-            updates.append((name, cg, old_version, cg.version, None))
+            updates.append((name, cg, old_version, cg.version))
         if patch and report.mode == "patch":
             self.updates_patched += 1
         else:
             self.updates_recompiled += 1
         # Merged views go stale via the version check and re-derive
         # lazily from the (now current) directed base on next access.
-        # Pooled search caches migrate across the patch (warm-start
-        # repair) and the hottest leftovers re-run through the kernel.
-        report.cache = self.pool.after_update(updates, delta if patch else None)
+        # Pooled searches on the retired versions go dirty; the hottest
+        # re-run through the kernel.
+        report.cache = self.pool.after_update(updates)
         return report
 
     def reset(self, atlas: Atlas) -> None:

@@ -14,7 +14,7 @@ bit-for-bit guarantees:
 * :mod:`repro.serve.worker` — the per-shard process: its own
   ``AtlasRuntime`` + predictor pool over the shared arrays, decoding
   binary delta broadcasts straight into the in-place patch and
-  warm-start repair path;
+  prewarm path;
 * :mod:`repro.serve.service` — the :class:`PredictionService`
   front-end: destination-hashed fan-out of each caller batch (one
   message per involved shard — the network gateway's burst dispatch

@@ -2,8 +2,8 @@
 
 The sharded prediction service routes every query by its **destination
 cluster**: all traffic toward one destination lands on one shard, so
-that shard's per-destination search cache (and the pool's warm-start /
-prewarm machinery) sees the whole stream — the same locality the
+that shard's per-destination search cache (and the pool's prewarm
+machinery) sees the whole stream — the same locality the
 in-process :class:`~repro.runtime.pool.PredictorPool` exploits.
 
 Two properties matter and both are guaranteed here:

@@ -33,7 +33,7 @@ processes (:mod:`repro.serve.shard`), each holding its own
   the binary broadcast codec
   (:func:`~repro.atlas.serialization.encode_delta`) and fans the same
   bytes to every worker, which decodes straight into the in-place
-  patch + warm-start repair path. The per-worker state snapshots
+  patch + prewarm path. The per-worker state snapshots
   (day + array fingerprints) must agree afterwards — a diverged shard
   raises :class:`~repro.errors.ShardStateError` instead of silently
   serving two graph versions.

@@ -16,8 +16,8 @@ Daily updates arrive as binary delta broadcasts
 (:func:`~repro.atlas.serialization.decode_delta`) and flow straight
 into :meth:`AtlasRuntime.apply_delta` — in-place atlas mutation, CSR
 patch (which materializes the shared views copy-on-write on first
-structural/value edit), warm-start cache repair, and pool prewarming,
-exactly the path a single-process consumer takes. After each delta the
+structural/value edit) and pool prewarming, exactly the path a
+single-process consumer takes. After each delta the
 worker replies with a state snapshot (day + per-graph shape + array
 fingerprint) so the service can verify every shard converged to the
 same graph version.
@@ -176,20 +176,10 @@ class _WorkerObs:
         self.tracer = Tracer()
 
 
-def _repair_class(last_repair: dict) -> str:
-    """The dominant repair class of the last applied delta — the
-    warm-start outcome a traced kernel span reports."""
-    best, best_n = "none", 0
-    for key, n in last_repair.items():
-        if key != "prewarmed" and n > best_n:
-            best, best_n = key, n
-    return best
-
-
 def _traced_batch(obs, runtime, predictor, pairs, trace):
     """Run the batch under a ``shard.batch`` span with a
     ``kernel.search`` child attributing the pool's kernel-counter
-    deltas (cache-hit vs cold-search, repair class) to this request."""
+    deltas (cache-hit vs cold-search) to this request."""
     pool = runtime.pool
     k0 = pool.kernel_stats()
     start_us = Tracer.now_us()
@@ -220,7 +210,6 @@ def _traced_batch(obs, runtime, predictor, pairs, trace):
                 "searches": str(searches),
                 "hits": str(k1["hits"] - k0["hits"]),
                 "cache": "cold" if searches else "hit",
-                "repair": _repair_class(pool.last_repair),
             },
         ),
     ]

@@ -13,9 +13,14 @@ Each AS has one cluster (cluster id == ASN * 10) and one prefix
 directions with 10ms latency. Relationship codes, degrees, tuples and
 providers are filled in consistently, so individual checks can be
 exercised by removing or adding entries.
+
+``assert_states_equal()`` compares two compiled-engine search results
+bit for bit (exit costs by their float64 bit patterns).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.atlas.model import Atlas, LinkRecord
 from repro.atlas.relationships import REL_CUSTOMER, REL_PEER, REL_PROVIDER
@@ -73,3 +78,15 @@ def toy_atlas() -> Atlas:
         2: frozenset({1, 4}),
     }
     return atlas
+
+
+def assert_states_equal(got, want, label):
+    assert got.root_id == want.root_id, label
+    assert np.array_equal(np.asarray(got.phase), np.asarray(want.phase)), label
+    assert np.array_equal(np.asarray(got.eff), np.asarray(want.eff)), label
+    assert np.array_equal(np.asarray(got.parent), np.asarray(want.parent)), label
+    assert np.array_equal(np.asarray(got.nxt), np.asarray(want.nxt)), label
+    # exact float identity (bit pattern), not just ==
+    ga = np.asarray(got.exitc, dtype=np.float64)
+    wa = np.asarray(want.exitc, dtype=np.float64)
+    assert np.array_equal(ga.view(np.int64), wa.view(np.int64)), label

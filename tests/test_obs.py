@@ -329,7 +329,6 @@ class TestEndToEndTrace:
                 assert expected in names
             [kernel] = [s for s in spans if s.name == "kernel.search"]
             assert kernel.tags["cache"] in ("hit", "cold")
-            assert "repair" in kernel.tags
             tree = client.span_tree()
             assert tree[0]["span"].name == "client.request"
             kids = {n["span"].name for n in tree[0]["children"]}
@@ -383,7 +382,6 @@ class TestEndToEndTrace:
             assert batch_node["children"][0]["span"].name == "kernel.search"
             kernel = batch_node["children"][0]["span"]
             assert kernel.tags["cache"] in ("hit", "cold")
-            assert "repair" in kernel.tags
 
             # -- promoted: heat the destination, then trace again --
             cluster = service.atlas.cluster_of_prefix(hot_dst)
