@@ -6,10 +6,12 @@
 # prediction service (bench-serve, shard-count throughput/p50/p99 sweeps
 # -> BENCH_serve.json), and the network gateway (bench-net, connect /
 # pipelined-QPS / delta-push-latency sweeps -> BENCH_net.json).
+# `make examples` runs every script under examples/ and fails on the
+# first non-zero exit (~30 s; kept out of tier-1).
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: verify bench-smoke bench bench-update bench-search bench-serve bench-net bench-obs equivalence
+.PHONY: verify bench-smoke bench bench-update bench-search bench-serve bench-net bench-obs equivalence examples
 
 verify:
 	$(PYTEST) -x -q
@@ -48,3 +50,9 @@ equivalence:
 		tests/test_delta_codec.py \
 		tests/test_serve_equivalence.py \
 		tests/test_net_equivalence.py -q
+
+examples:
+	@for f in examples/*.py; do \
+		echo "== $$f"; \
+		PYTHONPATH=src python $$f > /dev/null || exit 1; \
+	done

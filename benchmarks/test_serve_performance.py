@@ -167,126 +167,3 @@ def _next_day(scenario):
     nxt = copy.deepcopy(scenario.atlas(1))
     nxt.day = 1
     return nxt
-
-
-# -- hotspot replication sweep -------------------------------------------
-
-ZIPF_HOT_DSTS = 3
-HOT_ROUNDS = 4
-#: bench heat config: promote within the warmup rounds, replicate a hot
-#: destination across the whole 4-shard fleet
-HEAT_BENCH = dict(window=24, alpha=0.5, promote_threshold=4.0, replicas=4)
-
-
-def test_bench_hotspot_replication(
-    server, scenario, bench_record_serve, report
-):
-    """Uniform vs zipf-skewed traffic, pinned vs heat-replicated routing.
-
-    The pinned case concentrates a 90%-skewed stream on the one shard
-    that owns the hot destinations (max per-shard load share ~1.0); the
-    replicated case promotes them and fans the same stream across all
-    4 shards. The load-share collapse is machine-independent; the
-    throughput lift needs real cores (``cpus`` is recorded so the CI
-    gate can scale its expectation)."""
-    atlas = scenario.atlas(0)
-    prefixes = sorted(atlas.prefix_to_cluster)
-    # enough sources that each replica's slice of a batch amortizes its
-    # round-trip (the lift should measure compute spread, not framing)
-    srcs = (prefixes * 4)[:64]
-    # destinations that all hash to one shard: the worst-case pin
-    probe = server.serve(n_shards=4)
-    try:
-        owner_of = {p: probe.shard_of_destination(p) for p in prefixes}
-    finally:
-        probe.close()
-    target = owner_of[prefixes[0]]
-    hot_dsts = [p for p in prefixes if owner_of[p] == target][:ZIPF_HOT_DSTS]
-    hot_pairs = [(s, d) for d in hot_dsts for s in srcs]
-    uniform_pairs = [
-        (s, d) for d in prefixes[: len(hot_dsts) * 8] for s in srcs[:2]
-    ]
-
-    results = {}
-    gc.disable()
-    try:
-        for mode, heat in (("pinned", None), ("replicated", dict(HEAT_BENCH))):
-            service = server.serve(n_shards=4, heat=heat)
-            try:
-                start = time.perf_counter()
-                service.predict_batch(uniform_pairs)
-                service.predict_batch(uniform_pairs)
-                uniform_s = (time.perf_counter() - start) / 2
-                # warm the hot stream (and, replicated, drive it hot)
-                for _ in range(2):
-                    service.predict_batch(hot_pairs)
-                if heat is not None:
-                    assert service.heat.hot, "hot set must form in warmup"
-                before = [s["pairs"] for s in service.shard_stats()]
-                start = time.perf_counter()
-                for _ in range(HOT_ROUNDS):
-                    service.predict_batch(hot_pairs)
-                hot_s = (time.perf_counter() - start) / HOT_ROUNDS
-                after = [s["pairs"] for s in service.shard_stats()]
-                moved = [b - a for a, b in zip(before, after)]
-                results[mode] = {
-                    "hot_throughput_pairs_s": round(len(hot_pairs) / hot_s, 1),
-                    "uniform_throughput_pairs_s": round(
-                        len(uniform_pairs) / uniform_s, 1
-                    ),
-                    "max_shard_load_share": round(
-                        max(moved) / max(1, sum(moved)), 3
-                    ),
-                    "hot_shard_pairs": moved,
-                    "replica_routed": service.stats["replica_routed"],
-                }
-            finally:
-                service.close()
-    finally:
-        gc.enable()
-
-    pinned, replicated = results["pinned"], results["replicated"]
-    lift = round(
-        replicated["hot_throughput_pairs_s"]
-        / pinned["hot_throughput_pairs_s"],
-        2,
-    )
-    cpus = os.cpu_count() or 1
-    bench_record_serve(
-        "hotspot_replication",
-        hot_destinations=len(hot_dsts),
-        hot_pairs=len(hot_pairs),
-        cpus=cpus,
-        replicas=HEAT_BENCH["replicas"],
-        hot_throughput_lift=lift,
-        pinned=pinned,
-        replicated=replicated,
-    )
-    from repro.eval.reporting import render_table
-
-    report(
-        "serve_hotspot",
-        render_table(
-            f"Hot-destination routing ({len(hot_pairs)} pairs to "
-            f"{len(hot_dsts)} destinations on one shard, {cpus} cpus)",
-            ["routing", "hot tput (pairs/s)", "max shard share", "uniform tput"],
-            [
-                (
-                    mode,
-                    f"{results[mode]['hot_throughput_pairs_s']:,.0f}",
-                    f"{results[mode]['max_shard_load_share']:.2f}",
-                    f"{results[mode]['uniform_throughput_pairs_s']:,.0f}",
-                )
-                for mode in ("pinned", "replicated")
-            ],
-        ),
-    )
-    # Machine-independent: replication must collapse the pinned shard's
-    # load share (1.0) by at least half. The throughput lift gate lives
-    # in check_serve_floor.py, scaled to the recorded cpu count.
-    assert replicated["max_shard_load_share"] <= (
-        0.5 * pinned["max_shard_load_share"]
-    ), results
-    assert replicated["replica_routed"] > 0, results
-    if cpus >= 4:
-        assert lift >= 2.0, results

@@ -11,15 +11,12 @@ This example lights up all of it against a real sharded deployment:
 2. connect a ``trace=True`` client: its HELLO negotiates ``FLAG_TRACE``,
    each query carries a ``(trace_id, span_id)`` context on the wire,
    and every layer it crosses records spans — gateway decode /
-   admission / dispatch, the front-end's shard routing (pinned vs
-   promoted replica), the worker's batch handling, the kernel search
-   itself (cache-hit vs cold),
+   admission / dispatch, the front-end's shard routing (the
+   destination's ring owner), the worker's batch handling, the kernel
+   search itself (cache-hit vs cold),
 3. fetch the assembled span tree back over ``TRACE_FETCH`` and render
    it,
-4. heat one destination until the hotspot layer promotes it, and watch
-   the ``serve.route`` span flip from ``replica=pinned`` to
-   ``replica=promoted``,
-5. pull the fleet-wide metrics snapshot (front-end registry + every
+4. pull the fleet-wide metrics snapshot (front-end registry + every
    worker's registry folded together) and render the ``repro-top``
    dashboard plus the Prometheus text exposition.
 
@@ -42,37 +39,21 @@ def main() -> None:
     prefixes = sorted(scenario.atlas(0).prefix_to_cluster)
     print("== atlas published (day 0) ==")
 
-    heat = dict(window=16, alpha=0.5, promote_threshold=4.0, replicas=2)
-    service = server.serve(n_shards=2, heat=heat)
+    service = server.serve(n_shards=2)
     try:
         with NetworkGateway(service, tcp=("127.0.0.1", 0)) as gateway:
             host, port = gateway.tcp_address
-            print(f"  gateway on tcp://{host}:{port}, 2 shards, heat on")
+            print(f"  gateway on tcp://{host}:{port}, 2 shards")
 
             # -- 2. a traced query end to end --------------------------
             with NetworkClient.connect_tcp(
                 host, port, trace=True, trace_seed=11
             ) as client:
-                cold_dst = prefixes[5]
-                client.predict_batch([(prefixes[1], cold_dst)])
-                print("\n== span tree: cold destination (pinned) ==")
+                client.predict_batch([(prefixes[1], prefixes[5])])
+                print("\n== span tree: one query through the fleet ==")
                 print(render_tree(client.fetch_trace(), indent="   "))
 
-                # -- 4. heat a destination until it is promoted --------
-                hot_dst = prefixes[0]
-                hot_pairs = [(s, hot_dst) for s in prefixes[1:9]]
-                for _ in range(8):
-                    client.predict_batch(hot_pairs)
-                cluster = service.atlas.cluster_of_prefix(hot_dst)
-                assert service.heat.is_hot(cluster)
-                client.predict_batch(hot_pairs)
-                spans = client.fetch_trace()
-                route = next(s for s in spans if s.name == "serve.route")
-                print("\n== span tree: hot destination "
-                      f"(replica={route.tags['replica']}) ==")
-                print(render_tree(spans, indent="   "))
-
-            # -- 5. the fleet dashboard --------------------------------
+            # -- 4. the fleet dashboard --------------------------------
             fleet = service.fleet_snapshot()
             fleet = MetricsRegistry.merge_snapshots(fleet, gateway.obs.snapshot())
             print()

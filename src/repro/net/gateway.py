@@ -1102,8 +1102,8 @@ class NetworkGateway:
             ) = push_timings
             if load_sample is not None:
                 # backend load telemetry (queue depth / inflight /
-                # request percentiles) rides the same frame — what the
-                # heat layer and an autoscaler read remotely
+                # request percentiles) rides the same frame — what an
+                # autoscaler reads remotely
                 stats.update(load_sample())
             return result, stats
 

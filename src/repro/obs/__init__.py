@@ -3,9 +3,8 @@
 Every tier of the system — search kernel, predictor pool, shard
 workers, the sharded service front-end, the network gateway and its
 relay tiers — used to keep telemetry in its own dialect (``stats``
-dicts, ``kernel_stats()`` counters, the heat ``Tracker``, per-field
-STATS wire frames). :mod:`repro.obs` is the one substrate they all
-share now:
+dicts, ``kernel_stats()`` counters, per-field STATS wire frames).
+:mod:`repro.obs` is the one substrate they all share now:
 
 * :mod:`repro.obs.registry` — process-local counters, gauges, timers
   and fixed-bucket histograms under hierarchical dotted names
@@ -18,14 +17,14 @@ share now:
   ``(trace_id, span_id)`` context minted by the client, carried on the
   INWP wire (optional TRACE field behind ``FLAG_TRACE``) and through
   shard IPC, with spans recorded at gateway decode/admission/dispatch,
-  service routing (pinned vs promoted replica), worker batch handling
+  service routing (the destination's shard), worker batch handling
   and the kernel search itself.
 * :mod:`repro.obs.dashboard` — a ``repro-top`` style text dashboard
   over any snapshot.
 
 Existing surfaces (``gateway.stats``, ``service.load_stats()``, the
-FLAG_STATS wire frames, ``heat.snapshot()``) are thin views over this
-registry — one source of truth, no counter can drift from its view.
+FLAG_STATS wire frames) are thin views over this registry — one
+source of truth, no counter can drift from its view.
 """
 
 from repro.obs.registry import (

@@ -1,13 +1,12 @@
 """The process-local metrics registry: counters, gauges, timers and
 fixed-bucket histograms under hierarchical dotted names.
 
-Design rules, shared with :mod:`repro.serve.heat` (whose ``Tracker``
-is literally this registry):
+Design rules:
 
 * **Logical-clock friendly.** Nothing here reads a wall clock on its
   own; counters and gauges advance only when told to, and histograms
   observe whatever the caller measured. The only wall-clock use is the
-  explicit :class:`Timer` context manager, same as the heat layer's.
+  explicit :class:`Timer` context manager.
 * **Lock-free snapshot/merge.** All mutation is single-small-op Python
   (one ``+=``, one ``deque.append``) under the GIL, and
   :meth:`MetricsRegistry.snapshot` reads plain attributes — no locks
@@ -246,8 +245,7 @@ def prefix_snapshot(snapshot: dict, prefix: str) -> dict:
 class MetricsRegistry:
     """Named metrics with one-shot snapshots; ``get_*`` returns the
     same object for the same name, so independent components share
-    tallies without passing them around explicitly (the heat layer's
-    ``Tracker`` is an alias of this class)."""
+    tallies without passing them around explicitly."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, object] = {}

@@ -11,8 +11,8 @@ layer records :class:`Span`\\ s against it:
 * ``gw.decode`` / ``gw.admission`` / ``gw.dispatch`` — the gateway's
   payload decode, the admission verdict (including refusals), and the
   bridge-thread backend call;
-* ``serve.route`` — the service front-end's shard choice, tagged
-  pinned vs promoted-replica;
+* ``serve.route`` — the service front-end's shard choice, tagged with
+  the destination-owning shard and its pair count;
 * ``shard.batch`` — the worker's batch handling;
 * ``kernel.search`` — the search kernel itself, tagged with the
   cache-hit / cold-search split and kernel microseconds.

@@ -19,27 +19,21 @@ bit-for-bit guarantees:
   front-end: destination-hashed fan-out of each caller batch (one
   message per involved shard — the network gateway's burst dispatch
   is where requests coalesce), delta broadcast with convergence
-  handshakes, and FROM_SRC measuring-client registration;
-* :mod:`repro.serve.heat` — sliding-window per-destination heat
-  tracking (:class:`HeatTracker`): hot destinations promote onto a
-  replica set of ring successors and queries fan to the least-loaded
-  replica, demoting again on decay — pure routing policy, bit-for-bit
-  answers either way.
+  handshakes, and FROM_SRC measuring-client registration. Every
+  destination is served by its ring owner alone, so one search per
+  destination answers all of its sources.
 
 ``AtlasServer.serve(n_shards=...)`` is the one-call entry point: it
 exports the server's latest published atlas into a running service.
 """
 
 from repro.serve.hashring import HashRing
-from repro.serve.heat import HeatTracker, Tracker
 from repro.serve.service import PredictionService
 from repro.serve.shard import ShardManager
 from repro.serve.worker import graph_fingerprint, shard_worker_main
 
 __all__ = [
     "HashRing",
-    "HeatTracker",
-    "Tracker",
     "PredictionService",
     "ShardManager",
     "graph_fingerprint",

@@ -1,10 +1,11 @@
 """Deterministic consistent-hash ring for destination routing.
 
 The sharded prediction service routes every query by its **destination
-cluster**: all traffic toward one destination lands on one shard, so
-that shard's per-destination search cache (and the pool's prewarm
-machinery) sees the whole stream — the same locality the
-in-process :class:`~repro.runtime.pool.PredictorPool` exploits.
+cluster**: all traffic toward one destination lands on its one owning
+shard (:meth:`HashRing.shard_for`; there are no replicas), so that
+shard's per-destination search cache (and the pool's prewarm
+machinery) sees the whole stream — the same locality the in-process
+:class:`~repro.runtime.pool.PredictorPool` exploits.
 
 Two properties matter and both are guaranteed here:
 
@@ -115,33 +116,6 @@ class HashRing:
         owner = self._owners[i]
         self._lookup_cache[key] = owner
         return owner
-
-    def successors(self, key: int, k: int) -> list[int]:
-        """The first ``k`` *distinct* shards clockwise from ``key``.
-
-        ``successors(key, k)[0] == shard_for(key)`` always — the pinned
-        owner leads, then the next distinct owners around the ring.
-        This is the replica set for a hot destination: deterministic
-        (same digests as ``shard_for``), and stable under ring changes
-        in the same minimal-disruption sense as primary ownership.
-        ``k`` is clamped to the number of shards on the ring.
-        """
-        k = min(int(k), len(self._shards))
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        p = _point(b"%s|key:%d" % (self.salt, int(key)))
-        start = bisect.bisect_right(self._points, p)
-        n = len(self._points)
-        out: list[int] = []
-        seen: set[int] = set()
-        for step in range(n):
-            owner = self._owners[(start + step) % n]
-            if owner not in seen:
-                seen.add(owner)
-                out.append(owner)
-                if len(out) == k:
-                    break
-        return out
 
     def assignment(self, keys) -> dict[int, int]:
         """Batch ``shard_for`` (key -> shard), for tests and rebalance

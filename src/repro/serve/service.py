@@ -9,18 +9,14 @@ processes (:mod:`repro.serve.shard`), each holding its own
 (:mod:`repro.serve.worker`):
 
 * **Routing.** Every query is routed by consistent hash of its
-  *destination cluster* (:mod:`repro.serve.hashring`), so the full
-  query stream for one destination lands on one shard and rides that
-  shard's per-destination search cache — shard-count changes remap only
-  ~1/N of destinations.
-* **Hotspot replication.** With a :class:`~repro.serve.heat.HeatTracker`
-  installed (``heat=``), destinations whose sliding-window heat crosses
-  the promote threshold are spread over ``k`` successor shards
-  (:meth:`HashRing.successors`) and each query picks the least-loaded
-  replica; demotion on heat decay restores single-shard cache
-  locality. Because the delta broadcast keeps *every* shard's graph
-  (and registered-client planes) current, replication is pure routing
-  policy — any replica returns the bit-identical answer.
+  *destination cluster* (:mod:`repro.serve.hashring`) to that
+  cluster's ring owner and nothing else, so the full query stream for
+  one destination lands on one shard and rides that shard's
+  per-destination search cache: one backtracking search answers every
+  source toward the destination, as in the paper's predictor.
+  Shard-count changes remap only ~1/N of destinations. Because the
+  delta broadcast keeps *every* shard's graph (and registered-client
+  planes) current, the choice of shard never changes an answer bit.
 * **One query path.** :meth:`predict_batch` splits a caller's batch
   by owning shard, sends each involved shard exactly one message, and
   drains every reply before it returns, reassembling results in order.
@@ -55,8 +51,7 @@ from repro.client.query import combine_batches
 from repro.errors import ServiceError, ShardStateError
 from repro.obs.registry import MetricsRegistry, prefix_snapshot
 from repro.obs.trace import TraceCollector, Tracer
-from repro.serve.hashring import DEFAULT_VNODES, HashRing
-from repro.serve.heat import HeatTracker
+from repro.serve.hashring import HashRing
 from repro.serve.shard import ShardManager
 
 __all__ = ["PredictionService"]
@@ -72,28 +67,16 @@ class PredictionService:
         atlas_bytes: bytes,
         n_shards: int = 4,
         *,
-        vnodes: int = DEFAULT_VNODES,
         timeout: float | None = None,
         mp_context=None,
-        heat: HeatTracker | dict | bool | None = None,
     ) -> None:
         #: the front-end's metrics registry — every service counter,
         #: gauge and histogram below is a view over it, and
         #: :meth:`fleet_snapshot` folds the workers' registries in
         self.obs = MetricsRegistry()
-        # ``heat`` enables hot-destination replication: pass a
-        # configured HeatTracker, a kwargs dict for one, or True for
-        # the defaults. None (the default) keeps pure pinned routing.
-        # Trackers built here share the service registry, so heat
-        # counters land in the same snapshot as everything else.
-        if heat is True:
-            heat = HeatTracker(tracker=self.obs)
-        elif isinstance(heat, dict):
-            heat = HeatTracker(**{"tracker": self.obs, **heat})
-        self._heat = heat if isinstance(heat, HeatTracker) else None
         # Validate everything cheap before spawning the fleet, so bad
         # arguments cannot leak worker processes or shared blocks.
-        self._ring = HashRing(range(n_shards), vnodes=vnodes)
+        self._ring = HashRing(range(n_shards))
         #: bound on every broadcast / fan-out reply wait (seconds; None
         #: waits while the worker stays alive — dead workers raise
         #: promptly either way)
@@ -122,7 +105,6 @@ class PredictionService:
                 "batches_routed",
                 "deltas_broadcast",
                 "bytes_broadcast",
-                "replica_routed",
                 "inflight",
                 "req_p50_us",
                 "req_p99_us",
@@ -187,44 +169,6 @@ class PredictionService:
             return None
         return self._ring.shard_for(cluster)
 
-    @property
-    def heat(self) -> HeatTracker | None:
-        """The installed heat tracker (None = pinned routing only)."""
-        return self._heat
-
-    def replicas_of_destination(self, dst_prefix_index: int) -> list[int]:
-        """The shard set currently serving a destination prefix: the
-        pinned owner alone, or the full replica set while the heat
-        tracker holds its cluster hot. Empty for unmapped prefixes."""
-        cluster = self._atlas.cluster_of_prefix(dst_prefix_index)
-        if cluster is None:
-            return []
-        if self._heat is not None and self._heat.is_hot(cluster):
-            return self._ring.successors(cluster, self._heat.replicas)
-        return [self._ring.shard_for(cluster)]
-
-    def _route_cluster(self, cluster: int, assigned: dict) -> tuple[int, bool]:
-        """One query's ``(shard, promoted)``: the pinned ring owner
-        (``promoted=False``), unless the heat tracker holds the
-        cluster hot — then the least-loaded of its ``k`` successor
-        replicas (ties break on replica order, so routing stays
-        deterministic for a given query sequence). A replica's load is
-        its in-flight messages plus the batch-transient ``assigned``
-        per-shard counts, so one large batch
-        spreads over the replicas instead of dogpiling the
-        momentarily-idlest."""
-        heat = self._heat
-        if heat is None:
-            return self._ring.shard_for(cluster), False
-        heat.record(cluster)
-        if not heat.is_hot(cluster):
-            return self._ring.shard_for(cluster), False
-        replicas = self._ring.successors(cluster, heat.replicas)
-        self.stats["replica_routed"] += 1
-        return min(
-            replicas, key=lambda s: self._inflight[s] + assigned.get(s, 0)
-        ), True
-
     # -- one-way predictions ----------------------------------------------
 
     def predict(self, src_prefix_index: int, dst_prefix_index: int, config=None):
@@ -247,7 +191,7 @@ class PredictionService:
         ``trace`` is an optional ``(trace_id, parent_span_id)``
         context (minted by a FLAG_TRACE network client, threaded down
         by the gateway): each shard group gets a ``serve.route`` span
-        tagged pinned vs promoted-replica, and workers parent their
+        tagged with its shard and pair count, and workers parent their
         ``shard.batch`` spans on it."""
         self._check_open()
         pairs = list(pairs)
@@ -256,23 +200,19 @@ class PredictionService:
             return out
         self.stats["requests"] += len(pairs)
         self.stats["batches_routed"] += 1
-        by_shard: dict[int, tuple[list[int], list[tuple[int, int]], list[bool]]] = {}
+        by_shard: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
         cluster_of = self._atlas.cluster_of_prefix
-        assigned: dict[int, int] = {}  # batch-transient replica balance
+        shard_for = self._ring.shard_for
         for i, (src, dst) in enumerate(pairs):
             cluster = cluster_of(dst)
             if cluster is None:
                 continue  # unmapped destination: None, like the pool path
-            shard, promoted = self._route_cluster(cluster, assigned)
-            idxs, sub, hot = by_shard.setdefault(shard, ([], [], []))
+            idxs, sub = by_shard.setdefault(shard_for(cluster), ([], []))
             idxs.append(i)
             sub.append((src, dst))
-            hot.append(promoted)
-            if self._heat is not None:
-                assigned[shard] = assigned.get(shard, 0) + 1
         sent = []
         errors: list[ShardStateError] = []
-        for shard, (idxs, sub, hot) in by_shard.items():
+        for shard, (idxs, sub) in by_shard.items():
             req_id = next(_REQ_IDS)
             child = None
             if trace is not None:
@@ -285,7 +225,6 @@ class PredictionService:
                     0.0,
                     shard=shard,
                     pairs=len(sub),
-                    replica="promoted" if any(hot) else "pinned",
                 )
                 child = (trace[0], route_span)
             try:
@@ -497,9 +436,9 @@ class PredictionService:
         ]
 
     def load_stats(self) -> dict:
-        """The load telemetry the heat layer and an autoscaler read:
-        in-flight messages per shard and rolling request round-trip
-        percentiles. Cheap — no worker round trips — and mirrored into
+        """The load telemetry an autoscaler reads: in-flight messages
+        per shard and rolling request round-trip percentiles. Cheap —
+        no worker round trips — and mirrored into
         :attr:`stats` (``inflight`` / ``req_p50_us`` / ``req_p99_us``)
         so the gateway's FLAG_STATS frames carry the same numbers."""
         p50 = self._req_hist.percentile(0.50)
@@ -510,9 +449,6 @@ class PredictionService:
             "req_p50_us": p50,
             "req_p99_us": p99,
         }
-        if self._heat is not None:
-            out["heat"] = self._heat.snapshot()
-            out["hot_destinations"] = sorted(self._heat.hot)
         self.stats["inflight"] = out["inflight"]
         self.stats["req_p50_us"] = p50
         self.stats["req_p99_us"] = p99

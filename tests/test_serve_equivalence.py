@@ -124,77 +124,3 @@ class TestShardedEquivalence:
         assert "recompile" in modes, "monthly boundary must recompile"
         assert service.converged(), "all shards on one graph version"
         assert service.day == chain[-1].day
-
-
-class TestSkewedEquivalence:
-    """Hotspot replication under churn: a 90%-skewed workload drives
-    promotions (and, after the traffic shifts, demotions) *while* the
-    delta chain is advancing — and every answer stays bit-for-bit equal
-    to the single-process oracle, because replication is pure routing
-    over shards the broadcast already keeps identical."""
-
-    SHIFT_STEP = 5  # traffic moves off the hot set after this delta
-
-    def test_hot_set_promotes_demotes_and_stays_bit_for_bit(
-        self, chain, scenario
-    ):
-        server = AtlasServer()
-        server.publish(copy.deepcopy(chain[0]))
-        ref_runtime = server.runtime()
-        service = server.serve(
-            n_shards=N_SHARDS,
-            heat=dict(
-                window=32,
-                alpha=0.5,
-                promote_threshold=5.0,
-                demote_threshold=1.0,
-                replicas=2,
-            ),
-        )
-        try:
-            prefixes = sorted(chain[0].prefix_to_cluster)
-            rng = random.Random(0xD15EA5E)
-            hot_dsts = prefixes[:3]
-            cold_dsts = prefixes[3:]
-
-            def day_pairs(shifted: bool) -> list[tuple[int, int]]:
-                dsts = cold_dsts[:3] if shifted else hot_dsts
-                pairs = [
-                    (rng.choice(prefixes), rng.choice(dsts))
-                    for _ in range(36)  # 90% of the day's queries
-                ]
-                pairs += [
-                    tuple(rng.sample(prefixes, 2)) for _ in range(4)
-                ]
-                return pairs
-
-            def check_day(day, shifted):
-                pairs = day_pairs(shifted)
-                pooled = ref_runtime.pool.predictor(None)
-                assert service.predict_batch(pairs) == (
-                    pooled.predict_batch(pairs)
-                ), day
-
-            check_day(chain[0].day, shifted=False)
-            promoted_mid_chain = False
-            for step, (base, nxt) in enumerate(zip(chain, chain[1:])):
-                delta = compute_delta(base, nxt)
-                ref_runtime.apply_delta(delta)
-                service.apply_delta(delta)
-                shifted = step > self.SHIFT_STEP
-                if not shifted and service.heat.hot:
-                    promoted_mid_chain = True
-                check_day(nxt.day, shifted)
-            snap = service.heat.snapshot()
-            assert promoted_mid_chain, "hot set must form while churning"
-            assert snap["heat.promotions"] > 0
-            assert snap["heat.demotions"] > 0, (
-                "shifted traffic must decay the old hot set mid-chain"
-            )
-            assert service.stats["replica_routed"] > 0, (
-                "hot destinations must actually fan out to replicas"
-            )
-            assert service.converged()
-            assert service.day == chain[-1].day
-        finally:
-            service.close()

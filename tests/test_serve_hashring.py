@@ -84,6 +84,18 @@ class TestShape:
         ring.add_shard(1)
         assert ring.assignment(KEYS) == before
 
+    def test_memoized_lookup_survives_ring_changes(self):
+        ring = HashRing(range(4))
+        before = {k: ring.shard_for(k) for k in range(300)}
+        # cached answers are stable
+        assert {k: ring.shard_for(k) for k in range(300)} == before
+        ring.add_shard(4)
+        fresh = HashRing(range(5))
+        after = {k: ring.shard_for(k) for k in range(300)}
+        assert after == {k: fresh.shard_for(k) for k in range(300)}
+        ring.remove_shard(4)
+        assert {k: ring.shard_for(k) for k in range(300)} == before
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HashRing([])

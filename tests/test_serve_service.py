@@ -3,15 +3,17 @@
 Covers the pieces the full-chain equivalence suite
 (``test_serve_equivalence.py``) exercises only implicitly: the
 shared-memory export/import round trip and its copy-on-write
-materialization, routing and the fan-out's failure handling, client
-registration/release across the fleet, divergence detection, and the
-pool's warm-start record lifecycle (a released client must stop
-drawing prewarm work).
+materialization, routing (each destination's pairs reach its ring
+owner and no other shard) and the fan-out's failure handling, the load
+telemetry surfaces, client registration/release across the fleet,
+divergence detection, and the pool's warm-start record lifecycle (a
+released client must stop drawing prewarm work).
 """
 
 from __future__ import annotations
 
 import copy
+import random
 
 import pytest
 
@@ -126,12 +128,58 @@ class TestRoutingAndCoalescing:
             s["kernel"]["searches"] + s["kernel"]["hits"] >= 1 for s in stats
         )
 
+    def test_skewed_batch_stays_on_destination_owners(self, server, prefixes):
+        # 90% of the batch targets three destinations; every pair must
+        # land on its destination's ring owner and nowhere else
+        rng = random.Random(0x5EED)
+        hot_dsts = prefixes[:3]
+        pairs = [(rng.choice(prefixes), rng.choice(hot_dsts)) for _ in range(90)]
+        pairs += [tuple(rng.sample(prefixes, 2)) for _ in range(10)]
+        rng.shuffle(pairs)
+        with server.serve(n_shards=4) as svc:
+            expected = [0] * svc.n_shards
+            for _, dst in pairs:
+                expected[svc.shard_of_destination(dst)] += 1
+            before = [s["pairs"] for s in svc.shard_stats()]
+            got = svc.predict_batch(pairs)
+            after = [s["pairs"] for s in svc.shard_stats()]
+        assert [b - a for a, b in zip(before, after)] == expected
+        assert got == server.predict_batch(pairs)
+
     def test_close_resolves_pending_and_rejects_new_work(self, server, prefixes):
         svc = server.serve(n_shards=N_SHARDS)
         svc.close()
         with pytest.raises(ServiceError):
             svc.predict(prefixes[0], prefixes[5])
         svc.close()  # idempotent
+
+
+class TestLoadTelemetry:
+    def test_load_stats_surface(self, server, prefixes):
+        with server.serve(n_shards=2) as svc:
+            svc.predict_batch(
+                [(s, d) for s in prefixes[:4] for d in prefixes[4:8]]
+            )
+            load = svc.load_stats()
+            assert load["inflight_per_shard"] == [0, 0]  # all drained
+            assert load["inflight"] == 0
+            assert load["req_p50_us"] > 0
+            assert load["req_p99_us"] >= load["req_p50_us"]
+            # mirrored into the stats dict the gateway serializes
+            assert svc.stats["req_p50_us"] == load["req_p50_us"]
+            assert svc.stats["req_p99_us"] == load["req_p99_us"]
+            assert svc.stats["inflight"] == 0
+
+    def test_worker_stats_carry_handle_percentiles(self, server, prefixes):
+        with server.serve(n_shards=2) as svc:
+            svc.predict_batch(
+                [(s, d) for s in prefixes[:4] for d in prefixes[4:8]]
+            )
+            for stats in svc.shard_stats():
+                assert "handle_p50_us" in stats
+                assert stats["handle_p99_us"] >= stats["handle_p50_us"]
+                if stats["batches"]:
+                    assert stats["handle_p50_us"] > 0
 
 
 class TestFleetState:
@@ -195,8 +243,6 @@ class TestFleetState:
         assert service.converged()
 
     def test_invalid_arguments_rejected_before_spawning(self, server):
-        with pytest.raises(ValueError):
-            server.serve(n_shards=2, vnodes=0)
         with pytest.raises(ValueError):
             server.serve(n_shards=0)
 
