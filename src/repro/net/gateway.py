@@ -37,6 +37,25 @@ in-process (``repro.runtime``) or over ``multiprocessing`` pipes
   simply a burst of one; there is no second path. Replies queue on the
   connection's writer, which joins everything queued into one socket
   write;
+* **answer cache**: an answer is a pure function of the atlas day, the
+  predictor config and the pair, so a service-backed gateway keeps the
+  packed reply bytes of every pair it answered, keyed ``(method,
+  config, src, dst)`` under the backend's ``answer_version`` (the
+  service's day). A group reads its pairs from the cache on the event
+  loop, and only the missing pairs cross the bridge, as one call. The
+  cache is dropped whole whenever the version changes — a push through
+  :meth:`push_delta`, or a direct ``apply_delta`` / ``sync_from`` on
+  the service. A push drops it before its bridge hop, and until the
+  apply returns every query reaches the backend and nothing is stored.
+  A miss's answers are stored only if no push began and the version did
+  not move while its call ran, and at most ``_ANSWER_CAP`` entries are
+  stored per version. Sampled traced groups, every group of a
+  ``FLAG_STATS`` connection and client-scoped groups bypass the cache,
+  so span trees, STATS frames and registered client planes keep their
+  meaning. The in-process runtime backend is never cached: an
+  ``AtlasServer``'s runtime rolls itself forward on ``publish``, which
+  the gateway does not see. ``net.gateway.answer_hits`` /
+  ``answer_misses`` count cacheable pairs;
 * **backpressure** is structural: the socket is only read once a
   burst's replies are queued, and not at all while the connection's
   unsent replies exceed ``reply_buffer``, so a client that pipelines
@@ -111,16 +130,27 @@ __all__ = ["NetworkGateway"]
 
 _READ_CHUNK = 64 * 1024
 
-#: query frame type -> (backend method, reply type, reply encoder over
-#: the frame's slice of the group's answers)
+#: the most answers the cache stores per answer version; once full,
+#: nothing new is stored until the version changes
+_ANSWER_CAP = 16_384
+
+#: query frame type -> (backend method, reply type, per-answer packer,
+#: reply payload over the frame's packed answers) — byte for byte the
+#: protocol's ``encode_*_reply`` of the same answers
 _QUERIES = {
-    P.PREDICT: (
+    P.PREDICT: ("predict_batch", P.PREDICT_OK, P.pack_path, b"".join),
+    P.PREDICT_BATCH: (
         "predict_batch",
-        P.PREDICT_OK,
-        lambda paths: P.encode_predict_reply(paths[0]),
+        P.PREDICT_BATCH_OK,
+        P.pack_path,
+        P.encode_packed_reply,
     ),
-    P.PREDICT_BATCH: ("predict_batch", P.PREDICT_BATCH_OK, P.encode_batch_reply),
-    P.QUERY_INFO: ("query_batch", P.QUERY_INFO_OK, P.encode_query_reply),
+    P.QUERY_INFO: (
+        "query_batch",
+        P.QUERY_INFO_OK,
+        P.pack_path_info,
+        P.encode_packed_reply,
+    ),
 }
 
 
@@ -175,6 +205,11 @@ class _ServiceBackend:
 
     @property
     def day(self) -> int:
+        return self.service.day
+
+    @property
+    def answer_version(self) -> int:
+        """Every client-less answer is fixed within one service day."""
         return self.service.day
 
     def predict_batch(self, pairs, config, client, trace=None):
@@ -491,6 +526,27 @@ class _Group:
         self.pairs.extend(pairs)
 
 
+class _AnswerCache:
+    """The packed answers of one answer version: ``tables`` maps
+    ``(method, config)`` to ``{(src, dst): packed answer}``."""
+
+    __slots__ = ("version", "tables", "entries")
+
+    def __init__(self, version) -> None:
+        self.version = version
+        self.tables: dict[tuple, dict[tuple[int, int], bytes]] = {}
+        self.entries = 0
+
+    def store(self, key: tuple, answers: dict) -> None:
+        table = self.tables.setdefault(key, {})
+        for pair, packed in answers.items():
+            if self.entries >= _ANSWER_CAP:
+                return
+            if pair not in table:
+                table[pair] = packed
+                self.entries += 1
+
+
 class NetworkGateway:
     """Serves the wire protocol on TCP and/or unix-domain sockets."""
 
@@ -596,9 +652,17 @@ class NetworkGateway:
                 "retries_sent",
                 "auth_failures",
                 "connections_rejected",
+                "answer_entries",
             ),
         )
         self.stats["anchor_day"] = -1
+        self._answer_hits = self.obs.get_counter("net.gateway.answer_hits")
+        self._answer_misses = self.obs.get_counter("net.gateway.answer_misses")
+        #: the answer cache (module docstring): None until a cacheable
+        #: group runs, and whenever a push dropped it. Loop-thread state
+        self._answers: _AnswerCache | None = None
+        #: backends without an ``answer_version`` are never cached
+        self._cacheable = hasattr(self.backend, "answer_version")
         #: spans the gateway records loop-side (decode / admission /
         #: dispatch) for FLAG_TRACE clients; TRACE_FETCH reads it
         self.trace = TraceCollector()
@@ -734,6 +798,11 @@ class NetworkGateway:
         if payload is None:
             payload = encode_delta(delta)  # one encode: shard fan-out + pushes
         self.stats["push_encode_us"] = (time.perf_counter() - t0) * 1e6
+        # Dropped before the hop: until the apply returns, a lookup
+        # finds an empty cache, and every miss runs behind the apply on
+        # the bridge, so it reads the new version and stores nothing.
+        self._answers = None
+        self.stats["answer_entries"] = 0
         day = await loop.run_in_executor(
             self._bridge, self.backend.apply_delta, delta, payload
         )
@@ -1256,44 +1325,38 @@ class NetworkGateway:
         return group
 
     async def _run_group(self, conn: _Conn, group: _Group | None) -> None:
-        """One backend call over the group's concatenated pairs, on one
-        bridge hop; each frame gets its slice of the answers, in arrival
-        order. A failed call (or an answer that does not encode) gets
-        each frame its own typed ERROR. The frames count as in-flight
-        queries (queue-depth shedding) while the call runs."""
+        """Answer the group's concatenated pairs — from the answer cache
+        where it holds them, the rest in one backend call on one bridge
+        hop — and give each frame its slice of the packed answers, in
+        arrival order. A failed call (or an answer that does not pack)
+        gets each frame its own typed ERROR. The frames count as
+        in-flight queries (queue-depth shedding) while the group runs."""
         if group is None:
             return
         method, config, client = group.key
-        args = (group.pairs, config, client)
-        trace, dispatch_span = group.trace, None
-        if trace is not None and getattr(self.backend, "supports_trace", False):
-            # mint the dispatch span id up front so the backend's spans
-            # (serve.route / shard.batch / kernel.search) parent on it;
-            # the span itself is recorded after the call, duration known
-            dispatch_span = self.tracer.mint_id()
-            args += ((trace[0], dispatch_span),)
+        pack = _QUERIES[group.frames[0][0]][2]
+        cache = None
+        # a sampled trace keeps its span tree, a STATS frame its kernel
+        # deltas and a client-scoped query its plane only if the backend
+        # answers them
+        if group.trace is None and not conn.stats and client is None:
+            cache = self._answer_cache()
         n_frames = len(group.frames)
         self._inflight_queries += n_frames
-        disp0 = time.perf_counter()
-        start_us = Tracer.now_us() if trace is not None else 0.0
+        stats = None
         try:
-            result, stats = await self._timed_call(
-                conn, getattr(self.backend, method), *args
-            )
-            if trace is not None:
-                self.tracer.record(
-                    trace,
-                    "gw.dispatch",
-                    start_us,
-                    (time.perf_counter() - disp0) * 1e6,
-                    span_id=dispatch_span,
-                    backend=self.backend.name,
+            if cache is None:
+                result, stats = await self._backend_call(conn, group)
+                packed = [pack(answer) for answer in result]
+            else:
+                packed = await self._cached_answers(
+                    cache, method, config, group.pairs, pack
                 )
             replies = []
             start = 0
             for ftype, request_id, count in group.frames:
-                _, ok_type, encode_reply = _QUERIES[ftype]
-                reply = encode_reply(result[start : start + count])
+                _, ok_type, _, encode_reply = _QUERIES[ftype]
+                reply = encode_reply(packed[start : start + count])
                 start += count
                 replies.append(P.encode_frame(ok_type, request_id, reply))
                 if stats is not None:  # FLAG_STATS: a group of one
@@ -1309,6 +1372,77 @@ class NetworkGateway:
         if stats is not None:
             self.stats["stats_frames"] += n_frames
         await self._send(conn, *replies)
+
+    async def _backend_call(self, conn: _Conn, group: _Group):
+        """The group's pairs as one backend call, returning ``(answers,
+        stats)`` (see :meth:`_timed_call`). A sampled traced group's
+        ``gw.dispatch`` span times the call."""
+        method, config, client = group.key
+        args = (group.pairs, config, client)
+        trace, dispatch_span = group.trace, None
+        if trace is not None and getattr(self.backend, "supports_trace", False):
+            # mint the dispatch span id up front so the backend's spans
+            # (serve.route / shard.batch / kernel.search) parent on it;
+            # the span itself is recorded after the call, duration known
+            dispatch_span = self.tracer.mint_id()
+            args += ((trace[0], dispatch_span),)
+        disp0 = time.perf_counter()
+        start_us = Tracer.now_us() if trace is not None else 0.0
+        out = await self._timed_call(conn, getattr(self.backend, method), *args)
+        if trace is not None:
+            self.tracer.record(
+                trace,
+                "gw.dispatch",
+                start_us,
+                (time.perf_counter() - disp0) * 1e6,
+                span_id=dispatch_span,
+                backend=self.backend.name,
+            )
+        return out
+
+    def _answer_cache(self) -> _AnswerCache | None:
+        """The cache of the backend's current answer version (a new,
+        empty one when the version moved or a push dropped it), or None
+        for a backend that is never cached."""
+        if not self._cacheable:
+            return None
+        version = self.backend.answer_version
+        if self._answers is None or self._answers.version != version:
+            self._answers = _AnswerCache(version)
+            self.stats["answer_entries"] = 0
+        return self._answers
+
+    async def _cached_answers(
+        self, cache: _AnswerCache, method: str, config, pairs: list, pack
+    ) -> list[bytes]:
+        """Packed answers of ``pairs``: the cache's, and for the missing
+        pairs (each asked once) one backend call whose answer version
+        is read on the bridge right after it. Its answers are stored
+        only if that version is the cache's and no push dropped the
+        cache meanwhile."""
+        key = (method, config)
+        table = cache.tables.get(key, {})
+        packed = [table.get(pair) for pair in pairs]
+        todo = [pair for pair, hit in zip(pairs, packed) if hit is None]
+        self._answer_hits.increase(len(pairs) - len(todo))
+        if not todo:
+            return packed
+        self._answer_misses.increase(len(todo))
+        todo = list(dict.fromkeys(todo))
+        call = getattr(self.backend, method)
+
+        def run():
+            return call(todo, config, None), self.backend.answer_version
+
+        result, version = await self._call(run)
+        fresh = dict(zip(todo, map(pack, result)))
+        if version == cache.version and cache is self._answers:
+            cache.store(key, fresh)
+            self.stats["answer_entries"] = cache.entries
+        return [
+            hit if hit is not None else fresh[pair]
+            for pair, hit in zip(pairs, packed)
+        ]
 
     async def _dispatch(
         self, conn: _Conn, ftype: int, request_id: int, payload: bytes

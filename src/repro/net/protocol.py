@@ -589,9 +589,15 @@ def decode_batch_request_traced(payload: bytes):
     return pairs, config, client, trace
 
 
+def encode_packed_reply(packed: list[bytes]) -> bytes:
+    """A batch reply payload (PREDICT_BATCH_OK, QUERY_INFO_OK) from its
+    answers, each already packed (:func:`pack_path` /
+    :func:`pack_path_info`)."""
+    return _U32.pack(len(packed)) + b"".join(packed)
+
+
 def encode_batch_reply(paths) -> bytes:
-    paths = list(paths)
-    return _U32.pack(len(paths)) + b"".join(pack_path(p) for p in paths)
+    return encode_packed_reply([pack_path(p) for p in paths])
 
 
 def decode_batch_reply(payload: bytes) -> list[PredictedPath | None]:
@@ -611,8 +617,7 @@ decode_query_request_traced = decode_batch_request_traced
 
 
 def encode_query_reply(infos) -> bytes:
-    infos = list(infos)
-    return _U32.pack(len(infos)) + b"".join(pack_path_info(i) for i in infos)
+    return encode_packed_reply([pack_path_info(i) for i in infos])
 
 
 def decode_query_reply(payload: bytes) -> list:

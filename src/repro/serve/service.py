@@ -38,6 +38,12 @@ Results are bit-for-bit identical to a single-process
 :class:`~repro.client.server.AtlasServer` over the same atlas lineage
 (``tests/test_serve_equivalence.py`` proves it across a delta chain
 with a monthly recompile and a FROM_SRC-merged measuring client).
+
+Behind a :class:`~repro.net.gateway.NetworkGateway`, a pair the gateway
+already answered on the current day is answered from its answer cache
+and never reaches the shards, so ``serve.service.requests`` counts the
+gateway's misses only (its ``net.gateway.answer_hits`` counts the
+rest).
 """
 
 from __future__ import annotations

@@ -150,15 +150,21 @@ class TestServiceBackedGateway:
             assert boot.bootstrap().day == chain[0].day
             prefixes = sorted(chain[0].prefix_to_cluster)
             rng = random.Random(0x7E57)
+            # asked again every day, so the gateway's cached answers of
+            # one day meet every push
+            fixed = [tuple(rng.sample(prefixes, 2)) for _ in range(PAIRS_PER_DAY)]
 
             def check_day(day):
-                pairs = [
+                pairs = fixed + [
                     tuple(rng.sample(prefixes, 2)) for _ in range(PAIRS_PER_DAY)
                 ]
                 direct = service.predict_batch(pairs)
                 assert delegate.predict_batch(pairs) == direct, day
+                # the repeat is answered from the gateway's cache
+                assert delegate.pipeline_predict(pairs) == direct, day
                 assert boot.predict_batch(pairs) == direct, day
                 infos = service.query_batch(pairs)
+                assert delegate.query_batch(pairs) == infos, day
                 assert delegate.query_batch(pairs) == infos, day
                 assert boot.query_batch(pairs) == infos, day
 
@@ -169,6 +175,9 @@ class TestServiceBackedGateway:
                 assert boot.wait_for_day(nxt.day) == nxt.day
                 assert service.converged()
                 check_day(nxt.day)
+            # every day's repeats (one predict, one query) were hits
+            hits = gateway.obs.get_counter("net.gateway.answer_hits").get()
+            assert hits == (self.DAYS + 1) * 2 * 2 * PAIRS_PER_DAY
         finally:
             for client in clients:
                 client.close()
