@@ -1,25 +1,27 @@
 """Sharded prediction-service benchmarks: shard-count sweeps.
 
-The serving tentpole's claim: a ``PredictionService`` fleet of N shard
-workers over the shared-memory CSR scales ``predict_batch`` throughput
-with shard count while the delta broadcast keeps every shard on one
-graph version. Two mechanisms carry the scaling:
-
-* **aggregate search-cache capacity** — consistent-hash routing
-  partitions the destination working set, so N shards hold N
-  per-destination LRUs. The benchmark workload covers every
-  destination cluster of the default scenario (more destinations than
-  one pool's LRU holds), which a single shard must re-search every
-  round and a 4-shard fleet answers warm. This effect is
-  machine-independent — it shows even on one core;
-* **process parallelism** — cold searches fan out to all involved
-  shards concurrently (visible on multi-core hosts; ``cpus`` is
-  recorded so trajectories are comparable).
+A ``PredictionService`` fleet of N shard workers over the shared-memory
+CSR answers ``predict_batch`` while the delta broadcast keeps every
+shard on one graph version. The workload covers every destination
+cluster of the default scenario (333, a few sources each). One
+predictor's search LRU is sized to a day's working set, so a single
+shard holds all of it: after the cold round, every steady round is
+cache hits at every shard count, and the sweep measures the fleet's
+warm path (routing, IPC, per-shard batch cost) rather than re-searches.
+Cold rounds fan out to all involved shards concurrently, which shows
+only on multi-core hosts (``cpus`` is recorded so trajectories are
+comparable).
 
 Recorded per shard count: cold and steady-state round time, steady
 throughput, and single-query p50/p99 round-trip latency; plus the
 delta-broadcast convergence time and wire size. Appends to
 ``BENCH_serve.json`` under ``BENCH_RECORD=1`` (``make bench-serve``).
+
+The gate, true on any core count: one shard's steady throughput stays
+within ``ONE_SHARD_FLOOR`` of four shards' on the same run, so no shard
+count re-searches its working set every round (runs recorded while a
+256-entry LRU thrashed read 0.009-0.022x). ``check_serve_floor.py``
+also holds the 4-shard figure against the best one recorded.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from repro.util.stats import nearest_rank
 SHARD_COUNTS = (1, 2, 4)
 STEADY_ROUNDS = 3
 SINGLE_QUERIES = 60
+#: 1-shard over 4-shard steady throughput, same run (see module docstring)
+ONE_SHARD_FLOOR = 0.25
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +56,8 @@ def server(scenario):
 @pytest.fixture(scope="module")
 def workload(scenario):
     """Pairs covering every destination cluster (one prefix per
-    cluster, a few sources each) — a working set larger than one
-    predictor pool's LRU, the regime sharding exists for."""
+    cluster, a few sources each): a day-sized destination working
+    set."""
     atlas = scenario.atlas(0)
     prefix_of_cluster: dict[int, int] = {}
     for prefix, cluster in sorted(atlas.prefix_to_cluster.items()):
@@ -154,13 +158,10 @@ def test_bench_shard_scaling(
             ],
         ),
     )
-    # The acceptance gate: >= 2x steady throughput at 4 shards vs 1.
-    # The destination working set (> one LRU) makes this hold even on a
-    # single core; multi-core hosts add cold-path parallelism on top.
-    if n_dsts > _SEARCH_CACHE_MAX:
-        assert sweep[4]["speedup_vs_1"] >= 2.0, sweep
-    else:  # pragma: no cover - scenario shrank below the LRU
-        pytest.skip("workload fits one shard's LRU; scaling gate n/a")
+    # One shard must serve the whole working set warm: its steady
+    # throughput within ONE_SHARD_FLOOR of four shards' on this run.
+    one, four = (sweep[n]["throughput_pairs_s"] for n in (1, 4))
+    assert one >= ONE_SHARD_FLOOR * four, sweep
 
 
 def _next_day(scenario):

@@ -2,7 +2,8 @@
 
 One backtracking Dijkstra per destination computes best routes from *every*
 node to that destination, so batched queries against a common destination
-are nearly free (the per-destination search is cached, LRU).
+are nearly free (the per-destination search is cached, LRU, sized to hold
+a day's whole working set at 9 B per node and entry: see ``compact``).
 
 Graph planes follow the paper's ablation structure:
 
@@ -89,7 +90,8 @@ from repro.core.graph import (
 )
 from repro.errors import NoPredictedRouteError, UnknownEndpointError
 
-_SEARCH_CACHE_MAX = 256
+#: search LRU capacity: a day's distinct (version, dst, providers) keys
+_SEARCH_CACHE_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ class _NodeState:
 
 #: per-search cap on memoized extracted paths (bounds worst-case memory
 #: at _SEARCH_CACHE_MAX * _PATH_MEMO_MAX small objects)
-_PATH_MEMO_MAX = 4096
+_PATH_MEMO_MAX = 1024
 
 #: minimum number of uncached start nodes in a destination group before
 #: predict_batch switches from the scalar parent-chain walk to the
@@ -191,10 +193,9 @@ class _CompiledStates:
     function of the finished search, so repeated queries against a
     cached destination skip the parent-chain walk entirely.
 
-    ``pool`` points at the :class:`~repro.core.search.SearchStatePool`
-    the arrays came from so eviction can recycle them; recycled arrays
-    may be handed to the next search, so holders of a states object
-    must drop it once its cache entry is gone.
+    The search cache holds :meth:`compact` copies, which keep only
+    what start-node lookup and extraction read and own no pooled
+    arrays; ``exitc`` and ``nxt`` are None there.
     """
 
     root_id: int | None
@@ -204,16 +205,21 @@ class _CompiledStates:
     parent: object
     nxt: object
     paths: dict[int, PredictedPath]
-    pool: object = None
 
-    def recycle(self) -> None:
-        """Return the state arrays to their pool (caller must own the
-        states — i.e. just evicted/replaced their cache entry)."""
-        if self.pool is not None and isinstance(self.phase, np.ndarray):
-            self.pool.recycle(
-                (self.phase, self.eff, self.exitc, self.parent, self.nxt)
-            )
-            self.pool = None
+    def compact(self, graph: CompiledGraph) -> "_CompiledStates":
+        """The cache entry: ``phase`` as int8 (it is 0-3), ``eff`` and
+        ``parent`` as int32 while hop counts and edge ids fit. Consumes
+        this result: its arrays go back to the graph's state pool."""
+        wide = max(graph.n_nodes, graph.n_edges) >= 2**31
+        idx = np.int64 if wide else np.int32
+        entry = _CompiledStates(
+            self.root_id, self.phase.astype(np.int8), self.eff.astype(idx),
+            None, self.parent.astype(idx), None, self.paths,
+        )
+        graph.search_pool().recycle(
+            (self.phase, self.eff, self.exitc, self.parent, self.nxt)
+        )
+        return entry
 
 
 def _empty_states() -> _CompiledStates:
@@ -256,6 +262,7 @@ class INanoPredictor:
         self.kernel_stats = {
             "searches": 0,
             "hits": 0,
+            "evictions": 0,
             "search_us": 0.0,
             "last_search_us": 0.0,
         }
@@ -490,20 +497,18 @@ class INanoPredictor:
         stats["searches"] += 1
         stats["search_us"] += us
         stats["last_search_us"] = us
+        if isinstance(states, _CompiledStates):
+            states = states.compact(graph)
         if len(cache) >= self._cache_max:
-            _, evicted = cache.popitem(last=False)
-            if isinstance(evicted, _CompiledStates):
-                evicted.recycle()
+            cache.popitem(last=False)
+            stats["evictions"] += 1
         cache[cache_key] = states
         return states
 
     def release_search_state(self) -> None:
-        """Free every cached search's state arrays and the per-graph
-        state-pool freelists this predictor has touched (pool release /
-        teardown path)."""
-        for st in self._search_cache.values():
-            if isinstance(st, _CompiledStates):
-                st.pool = None
+        """Drop every cached search and free the per-graph state-pool
+        freelists this predictor has touched (pool release / teardown
+        path)."""
         self._search_cache.clear()
         for graph in (self.graph, self._fallback_graph):
             if isinstance(graph, CompiledGraph):
@@ -527,7 +532,7 @@ class INanoPredictor:
                 graph, self.atlas, self.config, providers, root, pool=pool
             )
             if result is not None:
-                return _CompiledStates(root, *result, {}, pool=pool)
+                return _CompiledStates(root, *result, {})
             # ASNs too large to pack: fall through to the spec loop
         return self._search_compiled(graph, dst_cluster, providers)
 

@@ -158,9 +158,10 @@ class SearchStatePool:
     float64 exit cost — sized to the graph's node count. One pool hangs
     off each :class:`CompiledGraph` (``cg.search_pool()``), shared by
     every predictor searching that graph, so the warm path allocates no
-    per-query state: evicted and retired searches recycle their
-    bundles here. A node-count change (renumbering day, recompile)
-    drops the freelist via :meth:`resize`.
+    per-query state: once the predictor has copied the fields its
+    search cache keeps, the finished search's bundle recycles here. A
+    node-count change (renumbering day, recompile) drops the freelist
+    via :meth:`resize`.
 
     Recycled bundles may be handed to the next search, so callers must
     not retain a search's state arrays after explicitly recycling them.

@@ -186,16 +186,16 @@ class PredictorPool:
 
     def kernel_stats(self) -> dict:
         """Pooled search-kernel counters, summed over every entry:
-        ``searches`` (cold kernel runs), ``hits`` (search-cache hits)
-        and ``search_us`` (cumulative cold-search microseconds). The
-        serving layer samples this before/after a request to attribute
-        kernel work per query."""
-        totals = {"searches": 0, "hits": 0, "search_us": 0.0}
+        ``searches`` (cold kernel runs), ``hits`` (search-cache hits),
+        ``evictions`` (LRU drops: the working set outgrew the cache) and
+        ``search_us`` (cumulative cold-search microseconds). The serving
+        layer samples this before/after a request to attribute kernel
+        work per query."""
+        totals = {"searches": 0, "hits": 0, "evictions": 0, "search_us": 0.0}
         for entry in self._entries.values():
             counters = entry.predictor.kernel_stats
-            totals["searches"] += counters["searches"]
-            totals["hits"] += counters["hits"]
-            totals["search_us"] += counters["search_us"]
+            for key in totals:
+                totals[key] += counters[key]
         return totals
 
     def export_metrics(self, registry, prefix: str = "runtime.pool") -> None:
@@ -282,11 +282,8 @@ def prewarm(predictor, graphs_by_old_version: dict, limit: int) -> int:
     for key in reversed(stale):  # most recently used first
         # every stale key leaves the LRU here: the hottest re-run warm,
         # the rest are unreachable under their retired version and
-        # would only crowd live entries toward eviction; their state
-        # arrays recycle into the pool for the re-runs to reuse
-        evicted = cache.pop(key)
-        if hasattr(evicted, "recycle"):
-            evicted.recycle()
+        # would only crowd live entries toward eviction
+        del cache[key]
         if ran < limit:
             predictor.search_for(
                 graphs_by_old_version[key[0]], key[1], key[2]

@@ -15,7 +15,9 @@ providers are filled in consistently, so individual checks can be
 exercised by removing or adding entries.
 
 ``assert_states_equal()`` compares two compiled-engine search results
-bit for bit (exit costs by their float64 bit patterns).
+bit for bit (exit costs by their float64 bit patterns);
+``assert_cached_equal()`` compares a search-cache entry, which keeps
+only ``phase`` / ``eff`` / ``parent``, against a full search result.
 """
 
 from __future__ import annotations
@@ -90,3 +92,15 @@ def assert_states_equal(got, want, label):
     ga = np.asarray(got.exitc, dtype=np.float64)
     wa = np.asarray(want.exitc, dtype=np.float64)
     assert np.array_equal(ga.view(np.int64), wa.view(np.int64)), label
+
+
+def assert_cached_equal(got, want, label):
+    """A compact search-cache entry against a full (spec) search: the
+    kept fields equal value for value, the dropped ones are gone."""
+    assert got.root_id == want.root_id, label
+    assert got.exitc is None and got.nxt is None, label
+    for field in ("phase", "eff", "parent"):
+        kept = np.asarray(getattr(got, field))
+        full = np.asarray(getattr(want, field))
+        assert kept.dtype.kind == "i", (label, field, kept.dtype)
+        assert np.array_equal(kept, full), (label, field)

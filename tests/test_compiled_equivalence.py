@@ -232,3 +232,4 @@ class TestSearchCacheLRU:
         cached_dst_clusters = {key[1] for key in pred._search_cache}
         assert cluster_of(5) not in cached_dst_clusters
         assert cached_dst_clusters == {cluster_of(4), cluster_of(2)}
+        assert pred.kernel_stats["evictions"] == 1

@@ -9,6 +9,7 @@ Topology (see tests/helpers.py)::
             AS5 (dual-homed)
 """
 
+import numpy as np
 import pytest
 
 from repro.atlas.model import LinkRecord
@@ -219,3 +220,25 @@ class TestFromSrcPlane:
         cache_size = len(pred._search_cache)
         pred.predict(prefix_of(4), prefix_of(5))  # same destination cluster
         assert len(pred._search_cache) == cache_size
+
+    def test_cache_entry_is_compact_and_owns_no_pooled_arrays(self, atlas):
+        pred = INanoPredictor(atlas, PredictorConfig.inano())
+        for asn in (1, 2, 3, 4, 5):
+            for src in (1, 2, 3, 4, 5):
+                pred.predict_or_none(prefix_of(src), prefix_of(asn))
+        graphs = {g.version: g for g in (pred.graph, pred.fallback_graph)}
+        pooled = [
+            array
+            for graph in graphs.values()
+            for bundle in graph.search_pool()._free
+            for array in bundle
+        ]
+        assert pooled, "finished searches return their bundle to the pool"
+        assert pred._search_cache
+        for (version, _, _), entry in pred._search_cache.items():
+            assert entry.exitc is None and entry.nxt is None
+            kept = (entry.phase, entry.eff, entry.parent)
+            for array in kept:
+                assert array.flags.owndata
+                assert not any(np.shares_memory(array, p) for p in pooled)
+            assert sum(a.nbytes for a in kept) <= 9 * graphs[version].n_nodes

@@ -39,7 +39,7 @@ from repro.core.compiled import CompiledGraph
 from repro.core.predictor import INanoPredictor, PredictorConfig
 from repro.runtime import AtlasRuntime
 
-from helpers import assert_states_equal
+from helpers import assert_cached_equal, assert_states_equal
 
 CHAIN_START_DAY = 25  # 10+ deltas from here cross the day-30 monthly refresh
 CHAIN_DAYS = 11
@@ -287,5 +287,7 @@ class TestPrewarmOnRealDays:
                 assert key in cache, (nxt.day, name, dst)
                 got = predictor.search_for(graph, dst, prov)
                 want = fresh._search_compiled(refs[name], dst, prov)
-                assert_states_equal(got, want, (nxt.day, name, dst))
+                assert_cached_equal(got, want, (nxt.day, name, dst))
+                full = predictor._run_search(graph, dst, prov)
+                assert_states_equal(full, want, (nxt.day, name, dst))
             assert runtime.pool.kernel_stats()["searches"] == before

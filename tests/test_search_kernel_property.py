@@ -39,7 +39,7 @@ from repro.core.compiled import CompiledGraph
 from repro.core.predictor import INanoPredictor, PredictorConfig
 from repro.runtime import AtlasRuntime
 
-from helpers import assert_states_equal
+from helpers import assert_cached_equal, assert_states_equal
 
 N_ATLASES = 52
 #: tie-prone latency palette — exact float ties exercise the
@@ -301,9 +301,10 @@ class TestWarmStartRepair:
                             continue
                         got = predictor._search_cache[key]
                         want = fresh._search_compiled(ref, key[1], key[2])
-                        assert_states_equal(
-                            got, want, (seed, day, name, key[1])
-                        )
+                        label = (seed, day, name, key[1])
+                        assert_cached_equal(got, want, label)
+                        full = predictor._run_search(graph, key[1], key[2])
+                        assert_states_equal(full, want, label)
         # the entries checked above must actually have been prewarmed
         assert totals["dirty"] > 0, totals
         assert totals["prewarmed"] > 0, totals
@@ -359,9 +360,10 @@ class TestWarmStartRepair:
                             continue
                         got = predictor._search_cache[key]
                         want = fresh._search_compiled(ref, key[1], key[2])
-                        assert_states_equal(
-                            got, want, (seed, day, name, key[1])
-                        )
+                        label = (seed, day, name, key[1])
+                        assert_cached_equal(got, want, label)
+                        full = predictor._run_search(graph, key[1], key[2])
+                        assert_states_equal(full, want, label)
     def test_state_pool_bounded_across_churn(self, monkeypatch):
         """State-pool lifecycle: a long churn chain must not grow pool
         memory past the freelist cap, and ``PredictorPool.release()``

@@ -119,7 +119,9 @@ class TestRoutingAndCoalescing:
         service.predict(prefixes[0], prefixes[5])
         stats = service.shard_stats()
         for s in stats:
-            assert set(s["kernel"]) == {"searches", "hits", "search_us"}
+            assert set(s["kernel"]) == {
+                "searches", "hits", "evictions", "search_us",
+            }
             assert set(s["last_repair"]) == {
                 "reused", "repaired", "replayed", "dirty", "prewarmed",
             }
