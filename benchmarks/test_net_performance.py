@@ -22,10 +22,7 @@ both transports, recorded to ``BENCH_net.json`` under ``BENCH_RECORD=1``
   lands on every arm alike. The acceptance gate is the 200/1 median
   latency ratio staying within ``FANOUT_RATIO_GATE``: per-subscriber
   distribution work must stay negligible against the day's shared
-  encode+apply cost. The sweep pushes through a server of its own,
-  warmed by the fixed ``workload``, so that shared cost (encode, patch
-  and the prewarm of the hottest searches) does not depend on which
-  tests ran first. Subscribers here *receive* rather than apply —
+  encode+apply cost. Subscribers here *receive* rather than apply —
   on a shared-CPU loopback host, N clients applying serialize on the
   interpreter, which would measure the harness, not the gateway; one
   subscriber's bytes are decode-validated out of band each round.
@@ -289,14 +286,8 @@ def _wait_until(predicate, timeout: float = 10.0) -> None:
         time.sleep(0.01)
 
 
-def test_bench_push_fanout_sweep(scenario, workload, bench_record_net, report):
-    # A server of its own, warmed by the fixed query set: every push's
-    # shared work then includes the prewarm a serving gateway runs over
-    # its hottest searches, whatever earlier tests did to the module's
-    # shared server. The live runtime patches the compiled core.
-    server = AtlasServer()
-    server.publish(copy.deepcopy(scenario.atlas(0)))
-    server.runtime().pool.predictor().predict_batch(workload)
+def test_bench_push_fanout_sweep(server, bench_record_net, report):
+    server.runtime()  # live runtime: every push patches the compiled core
     gateway = NetworkGateway(server, tcp=("127.0.0.1", 0))
     gateway.start()
     gc.disable()

@@ -21,7 +21,8 @@ The gate, true on any core count: one shard's steady throughput stays
 within ``ONE_SHARD_FLOOR`` of four shards' on the same run, so no shard
 count re-searches its working set every round (runs recorded while a
 256-entry LRU thrashed read 0.009-0.022x). ``check_serve_floor.py``
-also holds the 4-shard figure against the best one recorded.
+also holds the 4-shard figure against the median of recent runs
+on the same core count.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 import time
 
 import pytest
+from check_serve_floor import ONE_SHARD_FLOOR
 
 from repro.atlas.delta import compute_delta
 from repro.client import AtlasServer
@@ -42,8 +44,6 @@ from repro.util.stats import nearest_rank
 SHARD_COUNTS = (1, 2, 4)
 STEADY_ROUNDS = 3
 SINGLE_QUERIES = 60
-#: 1-shard over 4-shard steady throughput, same run (see module docstring)
-ONE_SHARD_FLOOR = 0.25
 
 
 @pytest.fixture(scope="module")

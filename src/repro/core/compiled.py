@@ -170,7 +170,7 @@ class CompiledGraph:
     _shm: object = field(default=None, repr=False)
 
     #: lazily-built :class:`~repro.core.search.SearchStatePool` (see
-    #: :meth:`search_pool`): spare per-search state-array bundles sized
+    #: :meth:`search_pool`): the spare per-search state-array bundle sized
     #: to this graph, shared by every predictor searching it
     _search_pool: object = field(default=None, repr=False)
 
@@ -245,11 +245,11 @@ class CompiledGraph:
     def search_pool(self):
         """The per-graph :class:`~repro.core.search.SearchStatePool`.
 
-        One freelist of spare search-state array bundles per graph,
-        shared by every predictor over it (searches are single-threaded
-        per process, so sharing spare arrays is safe). Sized lazily to
+        One spare search-state array bundle per graph, shared by every
+        predictor over it (searches are single-threaded per process, so
+        sharing the spare is safe). Sized lazily to
         the current node count; a renumbering day or recompile that
-        changes ``n_nodes`` drops stale-sized bundles on next access.
+        changes ``n_nodes`` drops a stale-sized spare on next access.
         """
         pool = self._search_pool
         if pool is None:

@@ -207,14 +207,15 @@ class _CompiledStates:
     paths: dict[int, PredictedPath]
 
     def compact(self, graph: CompiledGraph) -> "_CompiledStates":
-        """The cache entry: ``phase`` as int8 (it is 0-3), ``eff`` and
-        ``parent`` as int32 while hop counts and edge ids fit. Consumes
-        this result: its arrays go back to the graph's state pool."""
-        wide = max(graph.n_nodes, graph.n_edges) >= 2**31
-        idx = np.int64 if wide else np.int32
+        """The cache entry: ``phase`` as int8 (it is 0-3), ``eff`` (hop
+        counts, below ``n_nodes``) and ``parent`` (edge ids) as int32.
+        Consumes this result: its arrays go back to the graph's state
+        pool."""
+        assert max(graph.n_nodes, graph.n_edges) < 2**31, "graph too large"
         entry = _CompiledStates(
-            self.root_id, self.phase.astype(np.int8), self.eff.astype(idx),
-            None, self.parent.astype(idx), None, self.paths,
+            self.root_id, self.phase.astype(np.int8),
+            self.eff.astype(np.int32), None,
+            self.parent.astype(np.int32), None, self.paths,
         )
         graph.search_pool().recycle(
             (self.phase, self.eff, self.exitc, self.parent, self.nxt)
@@ -507,7 +508,7 @@ class INanoPredictor:
 
     def release_search_state(self) -> None:
         """Drop every cached search and free the per-graph state-pool
-        freelists this predictor has touched (pool release / teardown
+        spares this predictor has touched (pool release / teardown
         path)."""
         self._search_cache.clear()
         for graph in (self.graph, self._fallback_graph):

@@ -34,7 +34,7 @@ to the graph (plus a boolean finalized array), written by vectorized
 scatter stores on the winner path and by scalar stores on the contested
 fold and in-bucket intra paths. There are no python-list twins and no
 mirror syncing — the vectorized flush reads the same arrays the scalar
-paths write. The arrays come from a :class:`SearchStatePool` freelist
+paths write. The arrays come from a :class:`SearchStatePool` spare
 (one per compiled graph, shared by every predictor over that graph), so
 the warm path performs zero per-query state allocation. Bucket pending
 entries are stored per ``(phase, hops)`` key as ``(cost, counter,
@@ -152,51 +152,51 @@ def profile_into(registry, prefix: str = "kernel.profile"):
 
 
 class SearchStatePool:
-    """Freelist of per-search state-array bundles for one graph size.
+    """One spare per-search state-array bundle for one graph size.
 
     A bundle is ``(phase, eff, exitc, parent, nxt)`` — int64 except the
     float64 exit cost — sized to the graph's node count. One pool hangs
     off each :class:`CompiledGraph` (``cg.search_pool()``), shared by
     every predictor searching that graph, so the warm path allocates no
     per-query state: once the predictor has copied the fields its
-    search cache keeps, the finished search's bundle recycles here. A
-    node-count change (renumbering day, recompile) drops the freelist
-    via :meth:`resize`.
+    search cache keeps, the finished search's bundle becomes the spare
+    the next search takes. Searches run one at a time per process, so
+    one spare is all a graph needs. A node-count change (renumbering
+    day, recompile) drops it via :meth:`resize`.
 
-    Recycled bundles may be handed to the next search, so callers must
-    not retain a search's state arrays after explicitly recycling them.
+    The spare is handed to the next search, so callers must not retain
+    a search's state arrays after explicitly recycling them.
     """
 
-    __slots__ = ("n", "cap", "_free", "_fin")
+    __slots__ = ("n", "_spare", "_fin")
 
-    def __init__(self, n: int = 0, cap: int = 8) -> None:
+    def __init__(self, n: int = 0) -> None:
         self.n = int(n)
-        self.cap = cap
-        self._free: list[tuple] = []
+        self._spare: tuple | None = None
         self._fin = None
 
     def resize(self, n: int) -> None:
         """Pin the pool to ``n`` nodes, dropping stale-sized arrays."""
         if n != self.n:
             self.n = int(n)
-            self._free.clear()
-            self._fin = None
+            self.clear()
 
     def acquire(self, n: int, reset: bool = True):
         """A ``(phase, eff, exitc, parent, nxt)`` bundle of length
-        ``n`` — recycled when available, freshly allocated otherwise.
-        ``reset=False`` skips the zero/-1 fill for callers that
-        overwrite every element."""
+        ``n`` — the spare when there is one, freshly allocated
+        otherwise. ``reset=False`` skips the zero/-1 fill for callers
+        that overwrite every element."""
         self.resize(n)
-        if self._free:
-            phase, eff, exitc, parent, nxt = self._free.pop()
+        bundle, self._spare = self._spare, None
+        if bundle is not None:
             if reset:
+                phase, eff, exitc, parent, nxt = bundle
                 phase.fill(0)
                 eff.fill(0)
                 exitc.fill(0.0)
                 parent.fill(-1)
                 nxt.fill(-1)
-            return phase, eff, exitc, parent, nxt
+            return bundle
         if reset:
             return (
                 np.zeros(n, np.int64),
@@ -214,10 +214,10 @@ class SearchStatePool:
         )
 
     def recycle(self, arrays) -> None:
-        """Return a bundle to the freelist (dropped on size mismatch or
-        when the freelist is full)."""
-        if len(arrays[0]) == self.n and len(self._free) < self.cap:
-            self._free.append(tuple(arrays))
+        """Keep a finished bundle as the spare (dropped on size
+        mismatch)."""
+        if len(arrays[0]) == self.n:
+            self._spare = tuple(arrays)
 
     def fin_scratch(self, n: int) -> np.ndarray:
         """The pool's reusable finalized-flags array, reset to False."""
@@ -230,15 +230,11 @@ class SearchStatePool:
         return f
 
     def clear(self) -> None:
-        self._free.clear()
+        self._spare = None
         self._fin = None
 
-    @property
-    def free_bundles(self) -> int:
-        return len(self._free)
-
     def nbytes(self) -> int:
-        total = sum(a.nbytes for b in self._free for a in b)
+        total = sum(a.nbytes for a in self._spare or ())
         if self._fin is not None:
             total += self._fin.nbytes
         return total

@@ -230,8 +230,7 @@ class TestFromSrcPlane:
         pooled = [
             array
             for graph in graphs.values()
-            for bundle in graph.search_pool()._free
-            for array in bundle
+            for array in graph.search_pool()._spare or ()
         ]
         assert pooled, "finished searches return their bundle to the pool"
         assert pred._search_cache

@@ -364,9 +364,10 @@ class TestWarmStartRepair:
                         assert_cached_equal(got, want, label)
                         full = predictor._run_search(graph, key[1], key[2])
                         assert_states_equal(full, want, label)
+
     def test_state_pool_bounded_across_churn(self, monkeypatch):
         """State-pool lifecycle: a long churn chain must not grow pool
-        memory past the freelist cap, and ``PredictorPool.release()``
+        memory past one spare bundle, and ``PredictorPool.release()``
         must free the released entry's pooled arrays."""
         monkeypatch.setattr(search, "_VECTOR_GRAPH_MIN", 0)
         rng = random.Random(0x9001)
@@ -381,10 +382,9 @@ class TestWarmStartRepair:
                 predictor.predict_or_none(src, dst)
             for g in (runtime.directed_graph(), runtime.closed_graph()):
                 pool = g.search_pool()
-                assert pool.free_bundles <= pool.cap
-                # a bundle is 5 arrays of 8 bytes/node + the bool
-                # finalized scratch: the freelist cap bounds the pool
-                bound = pool.cap * 5 * 8 * g.n_nodes + g.n_nodes
+                # one spare bundle of 5 arrays of 8 bytes/node + the
+                # bool finalized scratch bounds the pool
+                bound = 5 * 8 * g.n_nodes + g.n_nodes
                 sizes.append(pool.nbytes())
                 assert pool.nbytes() <= bound, (day, pool.nbytes(), bound)
             nxt = copy.deepcopy(current)
@@ -400,14 +400,13 @@ class TestWarmStartRepair:
         nxt.day = 99
         runtime.apply_delta(compute_delta(current, nxt))
         for g in (runtime.directed_graph(), runtime.closed_graph()):
-            pool = g.search_pool()
-            for bundle in pool._free:
-                assert len(bundle[0]) == g.n_nodes
-        # release() frees the entry's cached state + pool freelists
+            spare = g.search_pool()._spare
+            assert spare is None or len(spare[0]) == g.n_nodes
+        # release() frees the entry's cached state + pool spares
         runtime.pool.release(None)
         assert len(predictor._search_cache) == 0
         for g in (runtime.directed_graph(), runtime.closed_graph()):
-            assert g.search_pool().free_bundles == 0
+            assert g.search_pool()._spare is None
 
     def test_post_delta_first_query_is_cache_hit(self):
         """Prewarming turns the first post-delta query into a hit."""
